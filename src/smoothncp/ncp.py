@@ -51,12 +51,12 @@ def res_metric(x, fx) -> float:
 
 
 def feas_metric(x, fx) -> float:
-    """Feas(x) = ||min(x, 0)||_1 + ||min(F(x), 0)||_1."""
+    """Feas(x) = ||min(x, 0)||_1 + ||min(F(x), 0)||_1, never -0.0."""
     x_ = np.asarray(x, dtype=float)
     f_ = np.asarray(fx, dtype=float)
     if x_.shape != f_.shape:
         raise ValueError("x and F(x) must have matching shapes")
-    return float(-np.minimum(x_, 0.0).sum() - np.minimum(f_, 0.0).sum())
+    return float(np.maximum(-x_, 0.0).sum() + np.maximum(-f_, 0.0).sum())
 
 
 @dataclass
@@ -65,7 +65,13 @@ class NcpProblem:
 
     eval_F maps an n-vector to an n-vector; eval_JF, when present, returns
     the n-by-n Jacobian (a forward-difference fallback is used otherwise).
-    known_solutions are reference points validated at construction time
+    A problem with tridiagonal=True must supply eval_JF, and it returns the
+    three diagonals as a (3, n) band array instead: row 0 holds the
+    super-diagonal in columns 1:, row 1 the diagonal and row 2 the
+    sub-diagonal in columns :-1 (the layout of LAPACK's banded storage with
+    one band on each side); the other two entries are ignored.  jacobian()
+    still returns the dense matrix, and the solver takes O(n) Newton steps
+    on the bands.  known_solutions are reference points validated at construction time
     against Res <= 1e-8 and Feas <= 1e-8.  sample_box gives per-coordinate
     intervals for diagnostic sampling, [0, 20] by default.  meta carries
     family-specific constants (matrices, eigenvalues, oracle solutions).
@@ -78,10 +84,13 @@ class NcpProblem:
     known_solutions: list = field(default_factory=list)
     sample_box: np.ndarray | None = None
     meta: dict = field(default_factory=dict, repr=False)
+    tridiagonal: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("problem dimension must be at least 1")
+        if self.tridiagonal and self.eval_JF is None:
+            raise ValueError("a tridiagonal problem must supply eval_JF")
         if self.sample_box is None:
             self.sample_box = np.tile([0.0, 20.0], (self.n, 1))
         else:
@@ -116,8 +125,16 @@ class NcpProblem:
     def jacobian(self, x, counter: EvalCounter | None = None) -> np.ndarray:
         """Jacobian of F; analytic when available, forward differences otherwise.
 
-        Either path counts as a single Jacobian evaluation.
+        Either path counts as a single Jacobian evaluation; the bands of a
+        tridiagonal problem are expanded to the dense matrix.
         """
+        if self.tridiagonal:
+            bands = self.jacobian_bands(x, counter)
+            jf = np.diag(bands[1])
+            idx = np.arange(self.n - 1)
+            jf[idx, idx + 1] = bands[0, 1:]
+            jf[idx + 1, idx] = bands[2, :-1]
+            return jf
         x_ = np.asarray(x, dtype=float)
         if counter is not None:
             counter.jac_evals += 1
@@ -128,6 +145,19 @@ class NcpProblem:
         if jf.shape != (self.n, self.n):
             raise ValueError(f"Jacobian has shape {jf.shape}, expected square")
         return jf
+
+    def jacobian_bands(self, x, counter: EvalCounter | None = None) -> np.ndarray:
+        """The (3, n) bands of a tridiagonal Jacobian, in the layout of the
+        class docstring; counts as a single Jacobian evaluation."""
+        if not self.tridiagonal:
+            raise ValueError(f"{self.name!r} does not declare a tridiagonal Jacobian")
+        x_ = np.asarray(x, dtype=float)
+        if counter is not None:
+            counter.jac_evals += 1
+        bands = np.asarray(self.eval_JF(x_), dtype=float)
+        if bands.shape != (3, self.n):
+            raise ValueError(f"Jacobian bands have shape {bands.shape}, expected (3, {self.n})")
+        return bands
 
 
 def _sample_pairs(problem: NcpProblem, pair_count: int, seed: int):

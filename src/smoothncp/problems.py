@@ -182,29 +182,32 @@ def hp_hard(n: int, seed: int = 0) -> NcpProblem:
 
 
 def scalable_monotone(n: int) -> NcpProblem:
-    """Tridiagonal monotone problem F(x) = Mx + arctan(x) - 1 at any size."""
+    """Tridiagonal monotone problem F(x) = Mx + arctan(x) - 1 at any size.
+
+    M has 4 on the diagonal and -1 beside it.  It is never formed: F takes
+    O(n) and the Jacobian comes as its three bands (tridiagonal=True).
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    idx = np.arange(n)
-    m = np.zeros((n, n))
-    m[idx, idx] = 4.0
-    m[idx[:-1], idx[:-1] + 1] = -1.0
-    m[idx[1:], idx[1:] - 1] = -1.0
 
     def eval_F(x):
-        return m @ x + np.arctan(x) - 1.0
+        mx = 4.0 * x
+        mx[1:] -= x[:-1]
+        mx[:-1] -= x[1:]
+        return mx + np.arctan(x) - 1.0
 
     def eval_JF(x):
-        jac = m.copy()
-        jac[idx, idx] += 1.0 / (1.0 + x ** 2)
-        return jac
+        bands = np.full((3, n), -1.0)
+        bands[0, 0] = bands[2, -1] = 0.0
+        bands[1] = 4.0 + 1.0 / (1.0 + x ** 2)
+        return bands
 
     return NcpProblem(
         name=f"monotone_{n}",
         n=n,
         eval_F=eval_F,
         eval_JF=eval_JF,
-        meta={"M": m},
+        tridiagonal=True,
     )
 
 

@@ -3,9 +3,10 @@
 The outer schedule is fixed: r starts at max(1, sqrt(Res(x0))), each
 successful inner solve appends a trace point, and r contracts by
 max(r_floor, min(0.1 r, r^2, sqrt(Res))) until Res <= outer_tol.  The
-inner solver is plain damped Newton on the squared residual merit with
-dense LU steps; iterates are never projected onto the nonnegative
-orthant, feasibility is only measured.
+inner solver is plain damped Newton on the squared residual merit.  Its
+steps use dense LU, or an O(n) tridiagonal elimination when the problem
+declares a tridiagonal Jacobian; iterates are never projected onto the
+nonnegative orthant, feasibility is only measured.
 """
 
 from __future__ import annotations
@@ -133,13 +134,84 @@ def r_update(r: float, x, fx, r_floor: float = 1e-16) -> float:
     return max(r_floor, min(0.1 * r, r * r, math.sqrt(res)))
 
 
-def _solve_step(jac_h, h):
+def solve_tridiagonal(dl, d, du, b):
+    """Solve a tridiagonal system by Gaussian elimination with partial pivoting.
+
+    dl, d and du are the sub-, main and super-diagonal (lengths n-1, n, n-1)
+    and b the right-hand side.  The elimination is LAPACK's ?gtsv: a row
+    interchange fills a second super-diagonal, kept in dl.  It runs on
+    Python floats, which beats numpy's per-call overhead on 2-3 element
+    updates.  Returns the solution, or None at an exactly zero pivot; a
+    NaN entry yields a non-finite solution, not None.
+    """
+    n = len(d)
+    dl, d, du, b = (np.asarray(v, dtype=float).tolist() for v in (dl, d, du, b))
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                return None
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        return None
+    b[n - 1] /= d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
+
+
+def _finite(d):
+    return d if d is not None and np.isfinite(d).all() else None
+
+
+def _solve_dense(jac_h, h):
     try:
-        d = np.linalg.solve(jac_h, -h)
+        return _finite(np.linalg.solve(jac_h, -h))
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(d).all():
-        return None
+
+
+def _newton_step(jf, d1, d2, h, tridiagonal: bool):
+    """Solve (D1 + D2 JF) d = -h, or return None when it stays singular.
+
+    jf is the dense Jacobian, or its (3, n) bands when tridiagonal.  A
+    singular or non-finite solve is retried once with a diagonal nudge of
+    1e-10 (1 + row-sum norm).
+    """
+    if tridiagonal:
+        dl = d2[1:] * jf[2, :-1]
+        du = d2[:-1] * jf[0, 1:]
+        diag = d2 * jf[1] + d1
+        d = _finite(solve_tridiagonal(dl, diag, du, -h))
+        if d is None:
+            norm = np.abs(diag)
+            norm[1:] += np.abs(dl)
+            norm[:-1] += np.abs(du)
+            bump = 1e-10 * (1.0 + float(norm.max()))
+            d = _finite(solve_tridiagonal(dl, diag + bump, du, -h))
+        return d
+    jac_h = d2[:, None] * jf
+    idx = np.arange(len(h))
+    jac_h[idx, idx] += d1
+    d = _solve_dense(jac_h, h)
+    if d is None:
+        bump = 1e-10 * (1.0 + float(np.abs(jac_h).sum(axis=1).max()))
+        jac_h[idx, idx] += bump
+        d = _solve_dense(jac_h, h)
     return d
 
 
@@ -172,7 +244,7 @@ def newton_inner(
     hinf = float(np.max(np.abs(h)))
     iters = 0
     jac_evals = 0
-    idx = np.arange(problem.n)
+    jacobian = problem.jacobian_bands if problem.tridiagonal else problem.jacobian
 
     def result(status):
         return InnerResult(
@@ -188,23 +260,15 @@ def newton_inner(
     while hinf > cfg.inner_tol:
         if iters >= cfg.max_inner:
             return result(InnerStatus.MAX_ITERATIONS)
-        jf = problem.jacobian(x, counter)
+        jf = jacobian(x, counter)
         jac_evals += 1
         try:
             d1, d2 = g_r_partials(kernel, x, fx, r)
         except ArithmeticError:
             return result(InnerStatus.SINGULAR_JACOBIAN)
-        jac_h = d2[:, None] * jf
-        jac_h[idx, idx] += d1
-        d = _solve_step(jac_h, h)
+        d = _newton_step(jf, d1, d2, h, problem.tridiagonal)
         if d is None:
-            # one diagonal nudge scaled to the row-sum norm, then give up
-            bump = 1e-10 * (1.0 + float(np.abs(jac_h).sum(axis=1).max()))
-            jac_b = jac_h.copy()
-            jac_b[idx, idx] += bump
-            d = _solve_step(jac_b, h)
-            if d is None:
-                return result(InnerStatus.SINGULAR_JACOBIAN)
+            return result(InnerStatus.SINGULAR_JACOBIAN)
         alpha = 1.0
         accepted = False
         for _ in range(cfg.max_backtracks + 1):

@@ -1,5 +1,7 @@
 """Problem abstraction, residual metrics, moduli, and sampled P-checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,11 @@ def test_res_metric_values():
 def test_feas_metric_values():
     assert feas_metric([1.0, -2.0], [-3.0, 4.0]) == 5.0
     assert feas_metric([0.0, 1.0], [2.0, 0.0]) == 0.0
+
+
+def test_feas_metric_is_positive_zero_when_feasible():
+    assert math.copysign(1.0, feas_metric([0.0, 1.0, 3.0], [2.0, 0.0, 0.5])) == 1.0
+    assert math.copysign(1.0, feas_metric([-0.0, 1.0], [2.0, -0.0])) == 1.0
 
 
 def test_metrics_reject_shape_mismatch():
@@ -93,6 +100,37 @@ def test_evaluation_counters_tally():
     p.F(np.ones(2), c)
     p.jacobian(np.ones(2), c)
     assert (c.f_evals, c.jac_evals) == (2, 1)
+
+
+def tridiagonal_problem():
+    """F(x) = Ax with A = [[1, 2, 0], [3, 4, 5], [0, 6, 7]], given by its bands."""
+    bands = np.array([[0.0, 2.0, 5.0], [1.0, 4.0, 7.0], [3.0, 6.0, 0.0]])
+    dense = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0], [0.0, 6.0, 7.0]])
+    p = NcpProblem(
+        name="tri", n=3, eval_F=lambda x: dense @ x,
+        eval_JF=lambda x: bands.copy(), tridiagonal=True,
+    )
+    return p, bands, dense
+
+
+def test_tridiagonal_jacobian_bands_and_dense_expansion():
+    p, bands, dense = tridiagonal_problem()
+    c = EvalCounter()
+    assert np.array_equal(p.jacobian_bands(np.ones(3), c), bands)
+    assert np.array_equal(p.jacobian(np.ones(3), c), dense)
+    assert c.jac_evals == 2
+
+
+def test_tridiagonal_declaration_checks():
+    with pytest.raises(ValueError, match="eval_JF"):
+        NcpProblem(name="tri", n=2, eval_F=lambda x: x, tridiagonal=True)
+    with pytest.raises(ValueError, match="tridiagonal"):
+        NcpProblem(name="plain", n=2, eval_F=lambda x: x).jacobian_bands(np.ones(2))
+    wrong = NcpProblem(
+        name="tri", n=2, eval_F=lambda x: x, eval_JF=lambda x: np.eye(2), tridiagonal=True,
+    )
+    with pytest.raises(ValueError, match="bands"):
+        wrong.jacobian(np.ones(2))
 
 
 def test_finite_difference_jacobian_fallback():

@@ -95,12 +95,16 @@ def test_hp_hard_jacobian_copy_safety():
 
 def test_scalable_monotone_structure():
     p = scalable_monotone(6)
-    m = p.meta["M"]
+    assert p.tridiagonal
+    # at x = 0 the Jacobian is M + I, arctan' being 1 there
+    m = p.jacobian(np.zeros(6)) - np.eye(6)
     assert np.array_equal(np.diag(m), np.full(6, 4.0))
     assert np.array_equal(np.diag(m, 1), np.full(5, -1.0))
     assert np.array_equal(np.diag(m, -1), np.full(5, -1.0))
     assert np.count_nonzero(m) == 6 + 2 * 5
     assert np.array_equal(p.eval_F(np.zeros(6)), np.full(6, -1.0))
+    x = np.arange(1.0, 7.0)
+    np.testing.assert_allclose(p.eval_F(x), m @ x + np.arctan(x) - 1.0, rtol=1e-15)
     with pytest.raises(ValueError):
         scalable_monotone(1)
 

@@ -1,5 +1,6 @@
 """Damped Newton inner solver and the r-continuation outer loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from smoothncp import (
     r_init,
     r_update,
 )
+from smoothncp import solver as solver_module
+from smoothncp.solver import solve_tridiagonal
 
 
 def line1d():
@@ -226,3 +229,135 @@ def test_residual_product_bound_at_solved_levels(kernel, analytic2d_problem, ks_
                 continue
             products = tp.x * problem.eval_F(tp.x)
             assert products.max() <= tp.r**2 + 1e-8
+
+
+# --- tridiagonal Newton steps --------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def tridiagonal_dense(dl, d, du):
+    return np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
+
+
+def random_tridiagonal(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    dl = rng.uniform(-2.0, 2.0, n - 1)
+    du = rng.uniform(-2.0, 2.0, n - 1)
+    d = rng.uniform(-2.0, 2.0, n)
+    if kind == "small":  # pivots on the sub-diagonal at almost every step
+        d *= 1e-6
+    elif kind == "zero_first" and n > 1:  # the first step must swap rows
+        d[0] = 0.0
+    elif kind == "zero_odd":  # zero pivots at every odd row
+        d[1::2] = 0.0
+    return dl, d, du, rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("kind", ["plain", "small", "zero_first", "zero_odd"])
+@pytest.mark.parametrize("seed", range(5))
+def test_tridiagonal_solve_matches_dense_lu(n, kind, seed):
+    dl, d, du, b = random_tridiagonal(n, kind, seed)
+    a = tridiagonal_dense(dl, d, du)
+    x = solve_tridiagonal(dl, d, du, b)
+    ref = np.linalg.solve(a, b)
+    # partial pivoting on a tridiagonal matrix has growth factor at most 2,
+    # so both solves are backward stable and differ by O(n eps cond(A))
+    tol = 100 * n * EPS
+    assert x.shape == (n,)
+    assert np.linalg.norm(x - ref) <= tol * np.linalg.cond(a) * np.linalg.norm(ref)
+    residual = np.abs(a @ x - b).max()
+    assert residual <= tol * (np.abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+
+
+def test_tridiagonal_solve_swaps_rows_of_a_permutation():
+    x = solve_tridiagonal([1.0], [0.0, 0.0], [1.0], [3.0, 5.0])
+    assert np.array_equal(x, [5.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "dl, d, du",
+    [
+        ([], [0.0], []),
+        ([2.0], [1.0, 4.0], [2.0]),
+        ([1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),
+    ],
+)
+def test_tridiagonal_solve_singular_gives_none(dl, d, du):
+    assert np.linalg.matrix_rank(tridiagonal_dense(dl, d, du)) < len(d)
+    assert solve_tridiagonal(dl, d, du, np.ones(len(d))) is None
+
+
+def test_tridiagonal_solve_nan_gives_non_finite():
+    x = solve_tridiagonal([1.0], [math.nan, 1.0], [1.0], [1.0, 1.0])
+    assert x is not None and not np.isfinite(x).all()
+
+
+def dense_copy(problem):
+    """The same problem with its Jacobian handed to the solver as a dense matrix."""
+    return dataclasses.replace(problem, eval_JF=problem.jacobian, tridiagonal=False)
+
+
+def solve_spy(monkeypatch):
+    diagonals = []
+    real = solver_module.solve_tridiagonal
+
+    def spy(dl, d, du, b):
+        diagonals.append(np.array(d))
+        return real(dl, d, du, b)
+
+    monkeypatch.setattr(solver_module, "solve_tridiagonal", spy)
+    return diagonals
+
+
+def test_inner_singular_tridiagonal_nudges_then_fails(exponential, monkeypatch):
+    nan_tri = NcpProblem(
+        name="nantri", n=3, eval_F=lambda x: x - 10.0,
+        eval_JF=lambda x: np.full((3, 3), math.nan), tridiagonal=True,
+    )
+    diagonals = solve_spy(monkeypatch)
+    tri = newton_inner(nan_tri, exponential, 1.0, np.zeros(3))
+    dense = newton_inner(dense_copy(nan_tri), exponential, 1.0, np.zeros(3))
+    assert len(diagonals) == 2  # the plain solve, then the nudged one
+    for res in (tri, dense):
+        assert res.status is InnerStatus.SINGULAR_JACOBIAN
+        assert (res.iterations, res.jac_evals) == (0, 1)
+
+
+def test_inner_zero_tridiagonal_matrix_takes_the_nudged_step(exponential, monkeypatch):
+    # F(x) = 2 - x at x = 1: s = t, so the exp partials are 1/2 each and the
+    # Newton matrix 1/2 I + 1/2 JF vanishes exactly
+    flip = NcpProblem(
+        name="flip", n=2, eval_F=lambda x: 2.0 - x,
+        eval_JF=lambda x: np.array([[0.0, 0.0], [-1.0, -1.0], [0.0, 0.0]]),
+        tridiagonal=True,
+    )
+    cfg = SolverConfig(max_inner=1)
+    diagonals = solve_spy(monkeypatch)
+    tri = newton_inner(flip, exponential, 1.0, np.ones(2), cfg)
+    assert np.array_equal(diagonals[0], [0.0, 0.0])
+    assert np.array_equal(diagonals[1], [1e-10, 1e-10])
+    dense = newton_inner(dense_copy(flip), exponential, 1.0, np.ones(2), cfg)
+    assert tri.status is dense.status
+    assert tri.iterations == dense.iterations
+    assert np.array_equal(tri.x, dense.x)
+
+
+def test_tridiagonal_continuation_matches_dense_copy_at_n1000(kernel):
+    problem = problem_from_selector("monotone:1000")
+    tri = continuation_solve(problem, kernel, np.ones(1000))
+    dense = continuation_solve(dense_copy(problem), kernel, np.ones(1000))
+    assert tri.status is dense.status is SolveStatus.CONVERGED
+    assert (tri.out_iter, tri.in_iter) == (dense.out_iter, dense.in_iter)
+    err = np.linalg.norm(tri.x_final - dense.x_final)
+    assert err <= 1e-12 * np.linalg.norm(dense.x_final)
+
+
+def test_tridiagonal_continuation_scales_to_n100000(exponential):
+    # a dense M at this size would take 80 GB
+    problem = problem_from_selector("monotone:100000")
+    rep = continuation_solve(problem, exponential, np.ones(problem.n))
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.res <= 1e-8
