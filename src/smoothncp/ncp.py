@@ -71,10 +71,11 @@ class NcpProblem:
     sub-diagonal in columns :-1 (the layout of LAPACK's banded storage with
     one band on each side); the other two entries are ignored.  jacobian()
     still returns the dense matrix, and the solver takes O(n) Newton steps
-    on the bands.  known_solutions are reference points validated at construction time
-    against Res <= 1e-8 and Feas <= 1e-8.  sample_box gives per-coordinate
-    intervals for diagnostic sampling, [0, 20] by default.  meta carries
-    family-specific constants (matrices, eigenvalues, oracle solutions).
+    on the bands.  known_solutions are reference points validated at
+    construction time against Res <= 1e-8 and Feas <= 1e-8.  sample_box
+    gives per-coordinate intervals for diagnostic sampling, [0, 20] by
+    default.  meta carries family-specific constants (matrices, eigenvalues,
+    oracle solutions).
     """
 
     name: str
