@@ -92,8 +92,10 @@ class SmoothingKernel:
     roots of the smoothed system is only guaranteed for such kernels.
 
     softmin_override / softmin_partials_override are numerically stable
-    closed forms for the induced soft-min and its partial derivatives; when
-    absent the generic psi_inv(psi + psi) composition is used.
+    closed forms for the induced soft-min and its partial derivatives.  The
+    rational kernel and the exponential family ship them; the phi_lambda
+    kernels with lam > 1 leave them unset and use the generic
+    psi_inv(psi + psi) composition.
     """
 
     name: str
@@ -146,6 +148,21 @@ def make_rational() -> SmoothingKernel:
 
     psi is C^1 everywhere but psi'' jumps at 0 (2 from the right, 0 from the
     left); derivative values at 0 use the right branch.
+
+    The soft-min g_r and its partials are closed forms.  Let lo = min(s, t),
+    hi = max(s, t) and den = max(s, 0) + max(t, 0) + 2r.  Where
+    max(s, 0) max(t, 0) >= r^2 (the psi-sum is at most 1)
+
+        g = lo (hi/den) - r (r/den),  dg/ds = ((r+t)/den)^2,
+
+    and elsewhere
+
+        g = lo (r/(r + max(lo, 0))) - q(hi),  dg/ds = (r/(r + max(s, 0)))^2,
+
+    with q(u) = r (r/(r+u)) for u >= 0 and r - u below; dg/dt swaps s and
+    t.  Every quotient factor is at most 1 and q >= 0, so g <= min(s, t)
+    holds in floating point.  g(s, +inf) = s with partials (0, 1); NaN,
+    -inf and two +inf arguments raise FloatingPointError.
     """
 
     def _nonneg(u):
@@ -185,6 +202,75 @@ def make_rational() -> SmoothingKernel:
     def a_psi_inv(y):
         return 1.0 / _require_positive(y, "psi_inv") - 1.0
 
+    def _outside_main(sp, tp, r):
+        # s t < r^2 or a negative argument, compared through square roots so
+        # that neither side can overflow or underflow
+        return np.sqrt(sp) * np.sqrt(tp) < r
+
+    # Each result array is allocated before the temporaries and filled in
+    # place: allocated after them, the result outlives them between their
+    # freed blocks, and a solve's heap fragments into holes too small for
+    # the next long-lived array.
+    def _softmin(lo, hi, r):
+        g = np.empty(np.shape(lo))
+        lop, hp = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+        den = (lop + hp) + 2.0 * r
+        np.divide(hp, den, out=g)
+        g *= lop
+        g -= r * (r / den)
+        other = lo * (r / (r + lop)) - (r * (r / (r + hp)) - np.minimum(hi, 0.0))
+        np.copyto(g, other, where=_outside_main(lop, hp, r))
+        return g
+
+    def _partials(s, t, r):
+        # (dg/ds, dg/dt) as the rows of one array, so each step of the
+        # formula is one call for both; swapping s and t swaps the rows
+        d = np.empty((2,) + np.shape(s))
+        st = np.maximum(np.stack((s, t)), 0.0)
+        sp, tp = st
+        ab = r + st
+        den = (sp + tp) + 2.0 * r
+        np.divide(ab[::-1], den, out=d)
+        np.copyto(d, r / ab, where=_outside_main(sp, tp, r))
+        d *= d
+        return d[0], d[1]
+
+    def _require_finite_min(lo):
+        if not np.isfinite(lo).all():
+            raise FloatingPointError("soft-min of NaN, -inf or two +inf arguments")
+
+    # Off the fast path (an infinite argument, or s + t overflows) the
+    # identities g(s, t, r) = 2 g(s/2, t/2, r/2) and its degree-0 analogue
+    # for the partials keep every intermediate sum in range.
+    def softmin(s, t, r):
+        lo, hi = np.minimum(s, t), np.maximum(s, t)
+        if np.isfinite(lo + hi).all():
+            g = _softmin(lo, hi, r)
+        else:
+            _require_finite_min(lo)
+            inf = hi == math.inf
+            half = _softmin(0.5 * lo, 0.5 * np.where(inf, lo, hi), 0.5 * r)
+            g = np.where(inf, lo, 2.0 * half)
+            if not np.isfinite(g).all():
+                raise FloatingPointError("soft-min overflows the float range")
+        return float(g) if g.ndim == 0 else g
+
+    def softmin_partials(s, t, r):
+        s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        if np.isfinite(s_ + t_).all():
+            ds, dt = _partials(s_, t_, r)
+        else:
+            _require_finite_min(np.minimum(s_, t_))
+            s_inf, t_inf = s_ == math.inf, t_ == math.inf
+            ds, dt = _partials(
+                0.5 * np.where(s_inf, t_, s_), 0.5 * np.where(t_inf, s_, t_), 0.5 * r
+            )
+            ds = np.where(s_inf, 0.0, np.where(t_inf, 1.0, ds))
+            dt = np.where(t_inf, 0.0, np.where(s_inf, 1.0, dt))
+        if ds.ndim == 0:
+            return float(ds), float(dt)
+        return ds, dt
+
     analytic = AnalyticBranch(a_psi, a_dpsi, a_d2psi, a_psi_inv, x_low=-1.0)
     return SmoothingKernel(
         name="rational",
@@ -196,6 +282,8 @@ def make_rational() -> SmoothingKernel:
         smoothness_class=SmoothnessClass.PIECEWISE_C2,
         analytic=analytic,
         theta_dominates_reference=_dominates_reference(theta),
+        softmin_override=softmin,
+        softmin_partials_override=softmin_partials,
     )
 
 

@@ -55,7 +55,9 @@ def g_r(kernel: SmoothingKernel, s, t, r: float):
     """Soft minimum of s and t at smoothing level r.
 
     Symmetric, smooth in (s, t), and bounded above by min(s, t) with no
-    tolerance.  Scalars and same-shape arrays are both accepted.
+    tolerance, in floating point as well: the kernel closed forms keep the
+    bound by construction and the generic composition is clamped to it.
+    Scalars and same-shape arrays are both accepted; a scalar gives a float.
     """
     _check_r(r)
     if kernel.softmin_override is not None:
@@ -67,7 +69,10 @@ def g_r(kernel: SmoothingKernel, s, t, r: float):
         raise FloatingPointError(
             "soft-min evaluation left the representable range of psi"
         )
-    return r * kernel.psi_inv(y)
+    # rounding in psi, the sum and psi_inv can lift the exact value, which
+    # never exceeds min(s, t), above it by an ulp at small r
+    g = np.minimum(r * kernel.psi_inv(y), np.minimum(s_, t_))
+    return float(g) if g.ndim == 0 else g
 
 
 def g_r_partials(kernel: SmoothingKernel, s, t, r: float):

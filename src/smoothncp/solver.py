@@ -95,7 +95,10 @@ class SolveReport:
     """Outcome of a continuation run.
 
     out_iter counts r-values consumed (one per trace point); in_iter is
-    the total number of Jacobian evaluations across all inner solves.
+    the total number of Jacobian evaluations across all inner solves and
+    f_evals the total number of F evaluations, line-search trials included
+    (the F calls of a forward-difference Jacobian count only as its one
+    Jacobian evaluation).
     wall_time is informational only and excluded from any determinism or
     acceptance contract.
     """
@@ -104,6 +107,7 @@ class SolveReport:
     x_final: np.ndarray = field(repr=False)
     out_iter: int
     in_iter: int
+    f_evals: int
     res: float
     feas: float
     wall_time: float
@@ -325,6 +329,7 @@ def continuation_solve(
             x_final=x.copy(),
             out_iter=len(trace),
             in_iter=counter.jac_evals,
+            f_evals=counter.f_evals,
             res=res,
             feas=feas,
             wall_time=time.perf_counter() - t0,

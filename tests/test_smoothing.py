@@ -1,6 +1,7 @@
 """Soft-min g_r and the smoothed system H_r: values, bounds, derivatives."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from smoothncp import (
     g_r_partials,
     h_r,
     h_r_jacobian,
+    kernel_from_selector,
     problem_from_selector,
     smoothed_residual,
 )
@@ -68,6 +70,21 @@ def test_soft_min_stays_below_min(kernel, s, t, r):
     assert g_r(kernel, s, t, r) <= min(s, t)
 
 
+@pytest.mark.parametrize("selector", ["rational", "exp", "phi:3", "phi:1.5"])
+@pytest.mark.parametrize("r", [1e-10, 1e-8, 1e-6])
+def test_soft_min_bound_is_exact_at_small_r(selector, r):
+    # no tolerance: at these r an unclamped psi_inv(psi + psi) composition
+    # rounds above min(s, t) on a few percent of the draws
+    kernel = kernel_from_selector(selector)
+    s_bad, t_bad = 3.14206916015636, -6.926792085334426
+    assert g_r(kernel, s_bad, t_bad, r) <= t_bad
+    rng = np.random.default_rng(11)
+    for scale in (10.0, 1e3):
+        s = rng.uniform(-scale, scale, 20000)
+        t = rng.uniform(-scale, scale, 20000)
+        assert np.all(g_r(kernel, s, t, r) <= np.minimum(s, t))
+
+
 @given(s=args, t=args, r=radii)
 def test_soft_min_symmetry(kernel, s, t, r):
     assert g_r(kernel, s, t, r) == g_r(kernel, t, s, r)
@@ -117,6 +134,149 @@ def test_partials_match_finite_differences(kernel, s, t, r):
     fd_t = (g_r(kernel, s, t + ht, r) - g_r(kernel, s, t - ht, r)) / (2.0 * ht)
     assert ds == pytest.approx(fd_s, rel=1e-5, abs=1e-8)
     assert dt == pytest.approx(fd_t, rel=1e-5, abs=1e-8)
+
+
+# --- the rational closed form --------------------------------------------------
+
+
+def _exact_rational(s, t, r):
+    """g_r and its partials for the rational kernel in exact arithmetic,
+    by the generic composition r psi_inv(psi(s/r) + psi(t/r))."""
+    s, t, r = Fraction(s), Fraction(t), Fraction(r)
+
+    def psi(u):
+        return 1 / (1 + u) if u >= 0 else 1 - u
+
+    def dpsi(u):
+        return -1 / (1 + u) ** 2 if u >= 0 else Fraction(-1)
+
+    y = psi(s / r) + psi(t / r)
+    mid = 1 / y - 1 if y <= 1 else 1 - y
+    w = dpsi(mid)
+    return r * mid, dpsi(s / r) / w, dpsi(t / r) / w
+
+
+def _rational_cases():
+    """(region, s, t, r) cases; the boundary and zero cases hit s t = r^2
+    and s = 0 exactly."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for r in (1.0, 1e-3, 5e-8):
+        for _ in range(40):
+            u, v = rng.uniform(1.0, 1e3, 2)
+            cases.append(("positive_above", u * r, v * r, r))
+            u, v = rng.uniform(0.0, 1.0, 2)
+            cases.append(("positive_below", u * r, v * r, r))
+            u, v = rng.uniform(0.0, 30.0, 2)
+            cases.append(("positive_mixed_scale", u * u * r, r / (1.0 + v), r))
+            u, v = rng.uniform(0.0, 1e3, 2)
+            cases.append(("mixed_sign", -u * r, v * r, r))
+            cases.append(("negative", -u * r, -v * r, r))
+            cases.append(("zero", 0.0, (v - 500.0) * r, r))
+            # near the boundary: t rounds r^2 / s
+            cases.append(("near_boundary", u * r, r * r / (u * r), r))
+    for i in range(-20, 21):
+        r = 3.0 * 2.0**-30
+        s = 3.0 * 2.0 ** (i - 30)
+        cases.append(("boundary", s, r * r / s, r))
+    return cases
+
+
+RATIONAL_CASES = _rational_cases()
+
+
+def test_rational_closed_form_matches_exact_arithmetic(rational):
+    eps = np.finfo(float).eps
+    assert {c[0] for c in RATIONAL_CASES} >= {
+        "positive_above", "positive_below", "mixed_sign", "negative", "boundary", "zero"}
+    for region, s, t, r in RATIONAL_CASES:
+        if region == "boundary":
+            assert Fraction(s) * Fraction(t) == Fraction(r) ** 2
+        g, gs, gt = _exact_rational(s, t, r)
+        got = g_r(rational, s, t, r)
+        ds, dt = g_r_partials(rational, s, t, r)
+        assert abs(Fraction(got) - g) <= 4 * eps * max(abs(s), abs(t), r), (region, s, t, r)
+        assert abs(Fraction(ds) - gs) <= 8 * eps * gs, (region, s, t, r)
+        assert abs(Fraction(dt) - gt) <= 8 * eps * gt, (region, s, t, r)
+        assert got <= min(s, t)
+
+
+def test_rational_closed_form_arrays_match_scalars(rational):
+    _, s, t, r = zip(*[c for c in RATIONAL_CASES if c[3] == 1e-3])
+    s, t = np.array(s), np.array(t)
+    g = g_r(rational, s, t, 1e-3)
+    ds, dt = g_r_partials(rational, s, t, 1e-3)
+    assert g.shape == ds.shape == dt.shape == s.shape
+    for i in range(s.size):
+        assert g[i] == g_r(rational, s[i], t[i], 1e-3)
+        assert (ds[i], dt[i]) == g_r_partials(rational, s[i], t[i], 1e-3)
+
+
+@pytest.mark.parametrize(
+    "s,t,r",
+    [(2.0, 3.0, 0.5), (0.2, 0.3, 0.5), (2.0, 0.01, 0.5), (-0.7, 1.3, 0.25),
+     (-0.7, -1.3, 0.25), (40.0, 60.0, 1e-3)],
+)
+def test_rational_partials_match_finite_differences_in_every_region(rational, s, t, r):
+    # every stencil point stays off the kinks s t = r^2, s = 0 and t = 0
+    ds, dt = g_r_partials(rational, s, t, r)
+    h = 1e-7 * max(abs(s), abs(t), r)
+    fd_s = (g_r(rational, s + h, t, r) - g_r(rational, s - h, t, r)) / (2.0 * h)
+    fd_t = (g_r(rational, s, t + h, r) - g_r(rational, s, t - h, r)) / (2.0 * h)
+    assert ds == pytest.approx(fd_s, rel=1e-6, abs=1e-9)
+    assert dt == pytest.approx(fd_t, rel=1e-6, abs=1e-9)
+
+
+def test_rational_closed_form_is_exactly_symmetric(rational):
+    _, s, t, r = zip(*RATIONAL_CASES)
+    for si, ti, ri in zip(s, t, r):
+        assert g_r(rational, si, ti, ri) == g_r(rational, ti, si, ri)
+        ds, dt = g_r_partials(rational, si, ti, ri)
+        assert g_r_partials(rational, ti, si, ri) == (dt, ds)
+
+
+def test_rational_scalar_in_float_out(rational):
+    assert type(g_r(rational, 1.0, 2.0, 0.5)) is float
+    assert type(g_r(rational, -1.0, 2, 0.5)) is float
+    ds, dt = g_r_partials(rational, 1.0, 2.0, 0.5)
+    assert type(ds) is float and type(dt) is float
+
+
+def test_rational_non_finite_arguments(rational):
+    inf = math.inf
+    for bad in ((math.nan, 1.0), (1.0, math.nan), (-inf, 1.0), (2.0, -inf), (inf, inf)):
+        with pytest.raises(FloatingPointError):
+            g_r(rational, *bad, 0.1)
+        with pytest.raises(FloatingPointError):
+            g_r_partials(rational, *bad, 0.1)
+    # +inf in one argument gives the other one
+    for other in (-3.0, 0.0, 0.05, 5.0, 1e300):
+        assert g_r(rational, inf, other, 0.1) == other
+        assert g_r(rational, other, inf, 0.1) == other
+        assert g_r_partials(rational, inf, other, 0.1) == (0.0, 1.0)
+        assert g_r_partials(rational, other, inf, 0.1) == (1.0, 0.0)
+    s = np.array([inf, 1.0, -2.0])
+    t = np.array([4.0, 3.0, inf])
+    g = g_r(rational, s, t, 0.1)
+    ds, dt = g_r_partials(rational, s, t, 0.1)
+    assert g[0] == 4.0 and g[2] == -2.0 and g[1] == g_r(rational, 1.0, 3.0, 0.1)
+    assert (ds[0], dt[0], ds[2], dt[2]) == (0.0, 1.0, 1.0, 0.0)
+    assert (ds[1], dt[1]) == g_r_partials(rational, 1.0, 3.0, 0.1)
+
+
+def test_rational_huge_arguments_stay_finite(rational):
+    # s / r overflows: the composition raised here, and its partials a bare
+    # ValueError that the solver's ArithmeticError handler does not catch
+    g = g_r(rational, 1e300, 1e300, 1e-16)
+    ds, dt = g_r_partials(rational, 1e300, 1e300, 1e-16)
+    assert g == pytest.approx(5e299, rel=1e-15) and g <= 1e300
+    assert (ds, dt) == (0.25, 0.25)
+    # s + t overflows: evaluated at half scale
+    with np.errstate(over="ignore"):
+        assert g_r(rational, 1e308, 1.5e308, 1e-3) == pytest.approx(6e307, rel=1e-15)
+        assert g_r_partials(rational, 1e308, 1e308, 1e-3) == (0.25, 0.25)
+        with pytest.raises(FloatingPointError):
+            g_r(rational, -1e308, -1.5e308, 1e-3)
 
 
 def test_exponential_partials_saturate_cleanly(exponential):

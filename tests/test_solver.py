@@ -13,6 +13,7 @@ from smoothncp import (
     SolverConfig,
     continuation_solve,
     g_r,
+    generate_starts,
     newton_inner,
     problem_from_selector,
     r_init,
@@ -158,6 +159,25 @@ def test_continuation_converges(kernel, analytic2d_problem):
     assert rep.in_iter >= sum(tp.inner_iters for tp in rep.trace)
     assert np.array_equal(rep.x_final, rep.trace[-1].x)
     assert rep.res == rep.trace[-1].res
+
+
+@pytest.mark.parametrize("selector", ["analytic2d", "ks", "monotone:10"])
+def test_continuation_reports_f_evals(kernel, selector):
+    # every F evaluation of the run, line-search trials included, and no other
+    problem = problem_from_selector(selector)
+    calls = []
+
+    def eval_F(x):
+        calls.append(1)
+        return problem.eval_F(x)
+
+    counted = dataclasses.replace(problem, eval_F=eval_F)
+    for x0 in generate_starts(problem.n, 3, seed=1):
+        calls.clear()
+        rep = continuation_solve(counted, kernel, x0)
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.f_evals == len(calls)
+        assert rep.f_evals > rep.in_iter
 
 
 def test_continuation_statuses_are_strings():
