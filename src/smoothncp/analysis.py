@@ -40,6 +40,7 @@ HESSIAN_DET_SLACK = 1e-10
 SPEED_SLACK = 1e-9
 LIMIT_ZERO_TOL = 1e-6
 _HESSIAN_BLOCK = 32768  # grid points per block of check_concavity's Hessian route
+_SUBADD_BLOCK = 32768  # pairs per block of check_subadditivity
 
 
 @dataclass(frozen=True)
@@ -114,17 +115,33 @@ def check_subadditivity(
 ) -> AnalysisReport:
     """Check f(a + b) <= f(a) + f(b) + slack for all pairs from the grid.
 
-    f must accept numpy arrays.  The first violation in row-major pair order
-    is reported as the witness.
+    f must accept numpy arrays and act on them elementwise.  The pairs run
+    in blocks of rows, so that the temporaries stay at a block's size.  The
+    first violation (or NaN defect) in row-major pair order is reported as
+    the witness.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     vals = np.asarray(f(grid), dtype=float)
-    sums = grid[:, None] + grid[None, :]
-    lhs = np.asarray(f(sums.ravel()), dtype=float).reshape(sums.shape)
-    defect = lhs - vals[:, None] - vals[None, :] - SUBADD_SLACK
-    max_defect = float(defect.max())
+    rows = max(1, _SUBADD_BLOCK // grid.size)
+    block_max = []
+    witness = None
+    for i0 in range(0, grid.size, rows):
+        sums = grid[i0:i0 + rows, None] + grid[None, :]
+        lhs = np.asarray(f(sums.ravel()), dtype=float).reshape(sums.shape)
+        defect = lhs - vals[i0:i0 + rows, None] - vals[None, :] - SUBADD_SLACK
+        block_max.append(defect.max())
+        if witness is None and not block_max[-1] <= 0.0:
+            bad = ~(defect <= 0.0)
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            witness = {
+                "alpha": float(grid[i0 + i]),
+                "beta": float(grid[j]),
+                "f(alpha+beta)": float(lhs[i, j]),
+                "f(alpha)+f(beta)": float(vals[i0 + i] + vals[j]),
+            }
+    max_defect = float(np.max(block_max))
     desc = f"{grid.size} pts in [{grid[0]:g}, {grid[-1]:g}], all pairs"
     if max_defect <= 0.0:
         return AnalysisReport(
@@ -133,13 +150,6 @@ def check_subadditivity(
             outcome="holds",
             max_defect=max_defect,
         )
-    i, j = np.unravel_index(int(np.argmax(defect > 0.0)), defect.shape)
-    witness = {
-        "alpha": float(grid[i]),
-        "beta": float(grid[j]),
-        "f(alpha+beta)": float(lhs[i, j]),
-        "f(alpha)+f(beta)": float(vals[i] + vals[j]),
-    }
     return AnalysisReport(
         property=f"subadditivity({name})",
         grid=desc,

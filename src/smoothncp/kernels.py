@@ -67,6 +67,44 @@ def _require_positive(y, name):
     return arr
 
 
+def _require_finite_min(lo):
+    # the sum of squares is NaN or inf when an entry is, and costs half of
+    # isfinite(lo).all(); it also overflows above 1e154, so a non-finite sum
+    # only sends lo to the entrywise check
+    if not math.isfinite(np.vdot(lo, lo)) and not np.isfinite(lo).all():
+        raise FloatingPointError("soft-min of NaN, -inf or two +inf arguments")
+
+
+# Soft-min arguments with at most this many entries are evaluated element by
+# element on Python floats.  The rational closed forms take about a dozen
+# numpy calls, 11 us whatever the size up to n ~ 100, against 1.2 us + 0.26
+# us per entry (g_r) and 1.7 us + 0.31 us per entry (partials) on floats
+# (2-core Xeon, Python 3.11, numpy 2.4).  The float path wins up to n ~ 38
+# for g_r and n ~ 28 for the partials; a Newton step makes one partials call
+# and at least one g_r call, and their sum crosses at n ~ 33.
+_SMALL_N = 32
+_REAL = (int, float)
+
+
+class _OffFloatPath(Exception):
+    """Raised by a float closed form for arguments it leaves to numpy."""
+
+
+def _small_pair(s, t):
+    """s and t as lists of floats if both are 1-D float64 arrays of one shape
+    with at most _SMALL_N entries, else None."""
+    if (
+        type(s) is np.ndarray
+        and type(t) is np.ndarray
+        and s.ndim == 1
+        and s.shape == t.shape
+        and s.shape[0] <= _SMALL_N
+        and s.dtype == t.dtype == np.float64
+    ):
+        return s.tolist(), t.tolist()
+    return None
+
+
 @dataclass(frozen=True)
 class AnalyticBranch:
     """Globally convex C^2 representative of psi, used by curvature analysis.
@@ -235,14 +273,50 @@ def make_rational() -> SmoothingKernel:
         d *= d
         return d[0], d[1]
 
-    def _require_finite_min(lo):
-        if not np.isfinite(lo).all():
-            raise FloatingPointError("soft-min of NaN, -inf or two +inf arguments")
+    # The same formulas on Python floats, operation for operation and with
+    # numpy's choice of argument on ties, so that both paths round alike.
+    # A pair whose sum is not finite is left to the numpy path.
+    def _softmin_float(s, t, r):
+        if not -math.inf < s + t < math.inf:
+            raise _OffFloatPath
+        lo = s if s < t else t
+        hi = s if s > t else t
+        lop = lo if lo > 0.0 else 0.0
+        hp = hi if hi > 0.0 else 0.0
+        if math.sqrt(lop) * math.sqrt(hp) < r:
+            return lo * (r / (r + lop)) - (r * (r / (r + hp)) - (hi if hi < 0.0 else 0.0))
+        den = (lop + hp) + 2.0 * r
+        return hp / den * lop - r * (r / den)
+
+    def _partials_float(s, t, r):
+        if not -math.inf < s + t < math.inf:
+            raise _OffFloatPath
+        sp = s if s > 0.0 else 0.0
+        tp = t if t > 0.0 else 0.0
+        if math.sqrt(sp) * math.sqrt(tp) < r:
+            ds = r / (r + sp)
+            dt = r / (r + tp)
+        else:
+            den = (sp + tp) + 2.0 * r
+            ds = (r + tp) / den
+            dt = (r + sp) / den
+        return ds * ds, dt * dt
 
     # Off the fast path (an infinite argument, or s + t overflows) the
     # identities g(s, t, r) = 2 g(s/2, t/2, r/2) and its degree-0 analogue
     # for the partials keep every intermediate sum in range.
     def softmin(s, t, r):
+        try:
+            if isinstance(s, _REAL) and isinstance(t, _REAL):
+                return _softmin_float(float(s), float(t), float(r))
+            pair = _small_pair(s, t)
+            if pair is not None:
+                r_ = float(r)
+                return np.array(
+                    [_softmin_float(a, b, r_) for a, b in zip(*pair)], dtype=float
+                )
+        except _OffFloatPath:
+            pass
         lo, hi = np.minimum(s, t), np.maximum(s, t)
         if np.isfinite(lo + hi).all():
             g = _softmin(lo, hi, r)
@@ -256,6 +330,19 @@ def make_rational() -> SmoothingKernel:
         return float(g) if g.ndim == 0 else g
 
     def softmin_partials(s, t, r):
+        try:
+            if isinstance(s, _REAL) and isinstance(t, _REAL):
+                return _partials_float(float(s), float(t), float(r))
+            pair = _small_pair(s, t)
+            if pair is not None:
+                r_ = float(r)
+                d = [_partials_float(a, b, r_) for a, b in zip(*pair)]
+                return (
+                    np.array([ds for ds, _ in d], dtype=float),
+                    np.array([dt for _, dt in d], dtype=float),
+                )
+        except _OffFloatPath:
+            pass
         s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         if np.isfinite(s_ + t_).all():
             ds, dt = _partials(s_, t_, r)
@@ -305,28 +392,30 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
     def psi_inv(y):
         return -np.log(_require_positive(y, "psi_inv")) / d
 
+    # NaN, -inf and two +inf arguments are exactly those with a non-finite
+    # min(s, t); checked before s - t, which is NaN for two infinities.
     def softmin(s, t, r):
         s_ = np.asarray(s, dtype=float)
         t_ = np.asarray(t, dtype=float)
         lo = np.minimum(s_, t_)
+        _require_finite_min(lo)
         gap = np.abs(s_ - t_)
-        return lo - (r / d) * np.log1p(np.exp(-d * gap / r))
+        g = lo - (r / d) * np.log1p(np.exp(-d * gap / r))
+        return float(g) if g.ndim == 0 else g
 
     def softmin_partials(s, t, r):
-        # softmax weights; computed so the pair sums to 1.0 exactly
+        # softmax weights; computed so the pair sums to 1.0 exactly.  q is
+        # the weight of the larger argument, with exp(-|z|) <= 1
         s_ = np.asarray(s, dtype=float)
         t_ = np.asarray(t, dtype=float)
+        _require_finite_min(np.minimum(s_, t_))
         z = d * (t_ - s_) / r
-        flat = np.atleast_1d(z)
-        ws = np.empty_like(flat)
-        pos = flat >= 0.0
-        ws[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-        ws[~pos] = 1.0 - 1.0 / (1.0 + np.exp(flat[~pos]))
+        q = 1.0 / (1.0 + np.exp(-np.abs(z)))
+        ws = np.where(z >= 0.0, q, 1.0 - q)
         wt = 1.0 - ws
-        if np.asarray(z).ndim == 0:
-            return float(ws[0]), float(wt[0])
-        shape = np.asarray(z).shape
-        return ws.reshape(shape), wt.reshape(shape)
+        if ws.ndim == 0:
+            return float(ws), float(wt)
+        return ws, wt
 
     analytic = AnalyticBranch(psi, dpsi, d2psi, psi_inv, x_low=-math.inf)
     return SmoothingKernel(

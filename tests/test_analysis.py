@@ -175,6 +175,31 @@ def test_concavity_report_does_not_depend_on_hessian_blocks(monkeypatch):
         monkeypatch.undo()
 
 
+def test_subadditivity_report_does_not_depend_on_blocks(monkeypatch):
+    grid = np.linspace(0.1, 5.0, 40)
+    kern = kernel_from_selector("phi:3")
+    # the last one first fails on a row past the first, at alpha + 5 > 9
+    late = lambda y: np.where(y > 9.0, 1.0, -y)  # noqa: E731
+    for f in (lambda y: v_function(kern, y), lambda y: y * y, late):
+        whole = check_subadditivity(f, grid)
+        for block in (1, grid.size - 1, 7 * grid.size):
+            monkeypatch.setattr(analysis, "_SUBADD_BLOCK", block)
+            assert check_subadditivity(f, grid) == whole
+        monkeypatch.undo()
+    assert check_subadditivity(late, grid).witness["alpha"] == grid[grid + 5.0 > 9.0][0]
+
+
+def test_subadditivity_nan_defect_is_a_violation_with_witness(monkeypatch):
+    grid = np.linspace(0.1, 5.0, 40)
+    for block in (1, 7 * grid.size):
+        monkeypatch.setattr(analysis, "_SUBADD_BLOCK", block)
+        rep = check_subadditivity(lambda y: np.where(y > 4.0, np.nan, 0.0), grid)
+        assert rep.outcome == "violated" and math.isnan(rep.max_defect)
+        # the first pair in row-major order whose sum leaves the domain
+        assert rep.witness["alpha"] == grid[0]
+        assert rep.witness["beta"] == grid[np.argmax(grid[0] + grid > 4.0)]
+
+
 # --- r -> 0 limits ---------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from smoothncp import (
     problem_from_selector,
     smoothed_residual,
 )
+from smoothncp.kernels import _SMALL_N
 
 args = st.floats(-10.0, 10.0, allow_nan=False)
 radii = st.floats(1e-6, 1.0, allow_nan=False)
@@ -235,33 +236,41 @@ def test_rational_closed_form_is_exactly_symmetric(rational):
         assert g_r_partials(rational, ti, si, ri) == (dt, ds)
 
 
-def test_rational_scalar_in_float_out(rational):
-    assert type(g_r(rational, 1.0, 2.0, 0.5)) is float
-    assert type(g_r(rational, -1.0, 2, 0.5)) is float
-    ds, dt = g_r_partials(rational, 1.0, 2.0, 0.5)
+def test_soft_min_scalar_in_float_out(kernel):
+    assert type(g_r(kernel, 1.0, 2.0, 0.5)) is float
+    assert type(g_r(kernel, -1.0, 2, 0.5)) is float
+    assert type(g_r(kernel, np.float64(1.0), 2, 0.5)) is float
+    assert type(g_r(kernel, np.array(1.0), np.array(2.0), 0.5)) is float
+    assert g_r(kernel, True, 2, 0.5) == g_r(kernel, 1.0, 2.0, 0.5)
+    ds, dt = g_r_partials(kernel, 1.0, 2.0, 0.5)
     assert type(ds) is float and type(dt) is float
+    assert g_r_partials(kernel, 1, 2, 0.5) == (ds, dt)
+    # a scalar broadcast against an array
+    g = g_r(kernel, 1.0, np.array([2.0, 0.5]), 0.5)
+    assert g.tolist() == [g_r(kernel, 1.0, 2.0, 0.5), g_r(kernel, 1.0, 0.5, 0.5)]
 
 
-def test_rational_non_finite_arguments(rational):
+@pytest.mark.filterwarnings("error")
+def test_soft_min_non_finite_arguments(kernel):
     inf = math.inf
     for bad in ((math.nan, 1.0), (1.0, math.nan), (-inf, 1.0), (2.0, -inf), (inf, inf)):
         with pytest.raises(FloatingPointError):
-            g_r(rational, *bad, 0.1)
+            g_r(kernel, *bad, 0.1)
         with pytest.raises(FloatingPointError):
-            g_r_partials(rational, *bad, 0.1)
+            g_r_partials(kernel, *bad, 0.1)
     # +inf in one argument gives the other one
     for other in (-3.0, 0.0, 0.05, 5.0, 1e300):
-        assert g_r(rational, inf, other, 0.1) == other
-        assert g_r(rational, other, inf, 0.1) == other
-        assert g_r_partials(rational, inf, other, 0.1) == (0.0, 1.0)
-        assert g_r_partials(rational, other, inf, 0.1) == (1.0, 0.0)
+        assert g_r(kernel, inf, other, 0.1) == other
+        assert g_r(kernel, other, inf, 0.1) == other
+        assert g_r_partials(kernel, inf, other, 0.1) == (0.0, 1.0)
+        assert g_r_partials(kernel, other, inf, 0.1) == (1.0, 0.0)
     s = np.array([inf, 1.0, -2.0])
     t = np.array([4.0, 3.0, inf])
-    g = g_r(rational, s, t, 0.1)
-    ds, dt = g_r_partials(rational, s, t, 0.1)
-    assert g[0] == 4.0 and g[2] == -2.0 and g[1] == g_r(rational, 1.0, 3.0, 0.1)
+    g = g_r(kernel, s, t, 0.1)
+    ds, dt = g_r_partials(kernel, s, t, 0.1)
+    assert g[0] == 4.0 and g[2] == -2.0 and g[1] == g_r(kernel, 1.0, 3.0, 0.1)
     assert (ds[0], dt[0], ds[2], dt[2]) == (0.0, 1.0, 1.0, 0.0)
-    assert (ds[1], dt[1]) == g_r_partials(rational, 1.0, 3.0, 0.1)
+    assert (ds[1], dt[1]) == g_r_partials(kernel, 1.0, 3.0, 0.1)
 
 
 def test_rational_huge_arguments_stay_finite(rational):
@@ -277,6 +286,101 @@ def test_rational_huge_arguments_stay_finite(rational):
         assert g_r_partials(rational, 1e308, 1e308, 1e-3) == (0.25, 0.25)
         with pytest.raises(FloatingPointError):
             g_r(rational, -1e308, -1.5e308, 1e-3)
+
+
+# --- the rational float path ---------------------------------------------------
+#
+# Arguments of at most _SMALL_N entries are evaluated on Python floats, longer
+# ones by numpy.  Both must give the same bits, so each short call is checked
+# against the same arguments tiled past _SMALL_N entries, and each scalar call
+# against a constant array of _SMALL_N + 1 entries.
+
+SIZES = [1, _SMALL_N, _SMALL_N + 1]
+entries = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 2.2250738585072014e-308]),
+)
+small_radii = st.one_of(st.floats(1e-16, 10.0), st.sampled_from([1e-16, 5e-8, 1.0]))
+
+
+def _call(f, *args):
+    """f(*args) without overflow warnings, or "raises" for a FloatingPointError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f(*args)
+    except FloatingPointError:
+        return "raises"
+
+
+def _bits(out, n=None):
+    """The bytes of out's first n entries; a tuple of them for the partials."""
+    if isinstance(out, tuple):
+        return tuple(_bits(v, n) for v in out)
+    if isinstance(out, str):
+        return out
+    return np.atleast_1d(np.asarray(out, dtype=float))[:n].tobytes()
+
+
+def _assert_float_path_matches_numpy(kernel, s, t, r):
+    long = _SMALL_N // s.size + 1
+    for f in (g_r, g_r_partials):
+        short = _call(f, kernel, s, t, r)
+        numpy_path = _call(f, kernel, np.tile(s, long), np.tile(t, long), r)
+        assert _bits(short) == _bits(numpy_path, s.size), (f.__name__, s, t, r)
+        if not isinstance(short, str):
+            for v in short if isinstance(short, tuple) else (short,):
+                assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == s.shape
+        for si, ti in zip(s.tolist(), t.tolist()):
+            one = _call(f, kernel, si, ti, r)
+            full = _call(f, kernel, np.full(_SMALL_N + 1, si), np.full(_SMALL_N + 1, ti), r)
+            assert _bits(one) == _bits(full, 1), (f.__name__, si, ti, r)
+
+
+@given(data=st.data())
+def test_rational_float_path_matches_numpy_bit_for_bit(rational, data):
+    n = data.draw(st.sampled_from(SIZES))
+    r = data.draw(small_radii)
+    # pairs drawn freely, or exactly on s t = r^2: the power-of-two scaling
+    # is exact away from the ends of the float range
+    on_boundary = st.integers(-40, 40).map(lambda k: (r * 2.0**k, r * 2.0**-k))
+    # up to 8 drawn pairs, repeated to n entries: drawing n pairs is slow
+    pairs = data.draw(st.lists(st.one_of(st.tuples(entries, entries), on_boundary),
+                               min_size=1, max_size=8))
+    s, t = (np.resize(np.array(v, dtype=float), n) for v in zip(*pairs))
+    _assert_float_path_matches_numpy(rational, s, t, r)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, 1.0), (1.0, math.nan), (-math.inf, 1.0), (2.0, -math.inf),
+     (math.inf, math.inf), (math.inf, 2.0), (-3.0, math.inf),
+     (1e308, 1.5e308), (-1e308, -1.5e308)],
+)
+def test_rational_float_path_non_finite_like_numpy(rational, n, bad):
+    # a non-finite s + t sends the whole call to numpy, which raises, takes
+    # g(s, +inf) = s or evaluates at half scale
+    s, t = np.linspace(0.5, 2.0, n), np.linspace(-1.0, 3.0, n)
+    s[-1], t[-1] = bad
+    _assert_float_path_matches_numpy(rational, s, t, 0.1)
+    handled = bad in ((math.inf, 2.0), (-3.0, math.inf), (1e308, 1.5e308))
+    assert isinstance(_call(g_r, rational, s, t, 0.1), np.ndarray) == handled
+
+
+@given(s=st.lists(args, min_size=1, max_size=40), r=st.floats(1e-16, 1.0),
+       rate=st.sampled_from([1.0, 0.5, 3.0]))
+def test_exponential_partials_are_the_two_sided_sigmoid(s, r, rate):
+    # the reference takes each weight from the side where exp's argument is <= 0
+    kern = kernel_from_selector("exp" if rate == 1.0 else f"phi:1:{rate:g}")
+    s = np.array(s)
+    t = s[::-1] + 0.125
+    z = rate * (t - s) / r
+    ws = np.array([1.0 / (1.0 + np.exp(-v)) if v >= 0.0 else 1.0 - 1.0 / (1.0 + np.exp(v))
+                   for v in z])
+    ds, dt = g_r_partials(kern, s, t, r)
+    assert ds.tobytes() == ws.tobytes()
+    assert dt.tobytes() == (1.0 - ws).tobytes()
 
 
 def test_exponential_partials_saturate_cleanly(exponential):
