@@ -26,7 +26,7 @@ from .analysis import (
     v_function,
 )
 from .kernels import check_Ha, kernel_from_selector
-from .ncp import EvaluationError
+from .ncp import EvaluationError, NcpProblem
 from .problems import ProblemSpec
 from .solver import SolverConfig, SolveStatus, continuation_solve
 
@@ -86,15 +86,11 @@ class BenchRun:
     kernels: tuple
     starts_per_problem: int = 11
     rng_seed: int = 1
-    output_format: str = "md"
     tol: float = 1e-8
-    verbose: bool = False
 
     def __post_init__(self):
         if self.starts_per_problem < 1:
             raise ValueError("starts_per_problem must be at least 1")
-        if self.output_format not in ("md", "csv", "json"):
-            raise ValueError("output_format must be one of md, csv, json")
         for sel in self.kernels:
             kernel_from_selector(sel)
         for spec in self.problems:
@@ -198,13 +194,12 @@ def format_table(rows, fmt: str, detail=None) -> str:
     return "\n".join(out)
 
 
-def run_trace(pspec: ProblemSpec, kernel_selectors, x0, cfg: SolverConfig | None = None):
+def run_trace(problem: NcpProblem, kernel_selectors, x0, cfg: SolverConfig | None = None):
     """Solve once per kernel and dump every trace point as CSV lines.
 
     Columns: kernel, outer_index, r, x_1..x_n, F_1..F_n, res, feas.  Values
     are printed with 17 significant digits so the file round-trips floats.
     """
-    problem = pspec.build()
     x0 = np.asarray(x0, dtype=float)
     if cfg is None:
         cfg = SolverConfig()
@@ -399,23 +394,20 @@ def _cmd_bench(args) -> int:
         kernels=tuple(args.theta or DEFAULT_KERNELS),
         starts_per_problem=args.starts,
         rng_seed=args.seed,
-        output_format=args.format,
         tol=args.tol,
-        verbose=args.verbose,
     )
     rows, detail, all_ok = run_bench(run)
-    text = format_table(rows, run.output_format, detail if run.verbose else None)
+    text = format_table(rows, args.format, detail if args.verbose else None)
     _emit(text, args.out)
     return 0 if all_ok else 1
 
 
 def _cmd_trace(args) -> int:
     selectors = _apply_n([args.problem], args.n)
-    pspec = ProblemSpec.from_selector(selectors[0])
+    problem = ProblemSpec.from_selector(selectors[0]).build()
     kernels = args.theta or list(DEFAULT_KERNELS)
     cfg = SolverConfig(outer_tol=args.tol)
-    problem_n = pspec.build().n
-    lines = run_trace(pspec, kernels, np.ones(problem_n), cfg)
+    lines = run_trace(problem, kernels, np.ones(problem.n), cfg)
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -30,7 +30,6 @@ __all__ = [
     "make_rational",
     "make_exponential",
     "make_phi_lambda",
-    "theta_r",
     "check_Ha",
     "kernel_from_selector",
 ]
@@ -73,6 +72,16 @@ def _require_finite_min(lo):
     # only sends lo to the entrywise check
     if not math.isfinite(np.vdot(lo, lo)) and not np.isfinite(lo).all():
         raise FloatingPointError("soft-min of NaN, -inf or two +inf arguments")
+
+
+def _sums_finite(a, b):
+    """Whether every a + b is finite, with no warning for -inf + inf."""
+    # sums of squares below the overflow threshold bound every entry by
+    # 1e154, so that every a + b is finite; this costs less than the sums
+    if math.isfinite(np.vdot(a, a) + np.vdot(b, b)):
+        return True
+    with np.errstate(invalid="ignore"):
+        return bool(np.isfinite(a + b).all())
 
 
 # Soft-min arguments with at most this many entries are evaluated element by
@@ -318,7 +327,7 @@ def make_rational() -> SmoothingKernel:
         except _OffFloatPath:
             pass
         lo, hi = np.minimum(s, t), np.maximum(s, t)
-        if np.isfinite(lo + hi).all():
+        if _sums_finite(lo, hi):
             g = _softmin(lo, hi, r)
         else:
             _require_finite_min(lo)
@@ -344,7 +353,7 @@ def make_rational() -> SmoothingKernel:
         except _OffFloatPath:
             pass
         s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-        if np.isfinite(s_ + t_).all():
+        if _sums_finite(s_, t_):
             ds, dt = _partials(s_, t_, r)
         else:
             _require_finite_min(np.minimum(s_, t_))
@@ -537,13 +546,6 @@ def make_phi_lambda(params: PhiLambdaParams) -> SmoothingKernel:
         analytic=analytic,
         theta_dominates_reference=_dominates_reference(theta),
     )
-
-
-def theta_r(kernel: SmoothingKernel, t, r: float):
-    """Scaled kernel theta_r(t) = theta(t/r); r must be positive."""
-    if not r > 0.0:
-        raise ValueError("theta_r requires r > 0")
-    return kernel.theta(np.asarray(t, dtype=float) / r)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Soft-min operator, smoothed residual map, and the exact nonsmooth reference.
+"""Soft-min operator, smoothed residual map, and its Jacobian.
 
 The soft minimum induced by a kernel is
 
@@ -12,25 +12,20 @@ H_r(x) = 0 solved by the continuation Newton method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .kernels import SmoothingKernel
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .ncp import NcpProblem
-
 __all__ = [
     "EvalCounter",
-    "SmoothedResidual",
     "g_r",
     "g_r_partials",
     "h_r",
     "h_r_jacobian",
-    "fixed_point_map",
-    "f_min",
     "fd_jacobian",
 ]
 
@@ -47,8 +42,8 @@ class EvalCounter:
 
 
 def _check_r(r):
-    if not r > 0.0:
-        raise ValueError("smoothing parameter r must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError("smoothing parameter r must be finite and positive")
 
 
 def g_r(kernel: SmoothingKernel, s, t, r: float):
@@ -94,18 +89,6 @@ def g_r_partials(kernel: SmoothingKernel, s, t, r: float):
     return kernel.dpsi(s_ / r) / w, kernel.dpsi(t_ / r) / w
 
 
-@dataclass(frozen=True)
-class SmoothedResidual:
-    """Value of H_r at a point, tagged with the smoothing level used."""
-
-    values: np.ndarray
-    r: float
-    jacobian_available: bool
-
-    def __post_init__(self):
-        _check_r(self.r)
-
-
 def h_r(problem, kernel: SmoothingKernel, x, r: float, counter=None) -> np.ndarray:
     """Smoothed residual H_r(x)_i = g_r(x_i, F_i(x)).
 
@@ -116,15 +99,6 @@ def h_r(problem, kernel: SmoothingKernel, x, r: float, counter=None) -> np.ndarr
         raise ValueError(f"expected point of shape ({problem.n},), got {x_.shape}")
     fx = problem.F(x_, counter)
     return g_r(kernel, x_, fx, r)
-
-
-def smoothed_residual(problem, kernel, x, r, counter=None) -> SmoothedResidual:
-    values = h_r(problem, kernel, x, r, counter)
-    return SmoothedResidual(
-        values=np.asarray(values, dtype=float),
-        r=float(r),
-        jacobian_available=problem.eval_JF is not None,
-    )
 
 
 def h_r_jacobian(
@@ -141,39 +115,16 @@ def h_r_jacobian(
     if fx is None:
         fx = problem.F(x_, counter)
     d1, d2 = g_r_partials(kernel, x_, fx, r)
-    jf = problem.jacobian(x_, counter)
-    out = np.asarray(d2)[:, None] * jf
-    idx = np.arange(problem.n)
+    return _newton_matrix(d1, d2, problem.jacobian(x_, counter))
+
+
+def _newton_matrix(d1, d2, jf) -> np.ndarray:
+    """Dense D1 + D2 * JF from the soft-min partials d1, d2 and the Jacobian
+    of F; the Newton matrix the solver factors."""
+    out = d2[:, None] * jf
+    idx = np.arange(len(d1))
     out[idx, idx] += d1
     return out
-
-
-def fixed_point_map(problem, kernel: SmoothingKernel, x, r: float, counter=None):
-    """Componentwise map x_i -> r * psi_inv(theta(F_i(x)/r)).
-
-    Roots of H_r are exactly its fixed points.  Components with
-    theta(F_i/r) <= 0 (i.e. F_i <= 0) are outside the range of psi; they are
-    reported by index in the raised ValueError (attribute `indices`).
-    """
-    _check_r(r)
-    x_ = np.asarray(x, dtype=float)
-    fx = problem.F(x_, counter)
-    vals = np.atleast_1d(np.asarray(kernel.theta(fx / r), dtype=float))
-    bad = np.flatnonzero(~(vals > 0.0))
-    if bad.size:
-        err = ValueError(
-            f"fixed-point map undefined at components {bad.tolist()} "
-            "(theta(F_i/r) outside the range of psi)"
-        )
-        err.indices = bad.tolist()
-        raise err
-    return r * kernel.psi_inv(vals)
-
-
-def f_min(problem, x, counter=None) -> np.ndarray:
-    """Exact nonsmooth residual min(x, F(x)), the limit object of h_r."""
-    x_ = np.asarray(x, dtype=float)
-    return np.minimum(x_, problem.F(x_, counter))
 
 
 def fd_jacobian(f: Callable, x: np.ndarray, rel_step: float | None = None) -> np.ndarray:

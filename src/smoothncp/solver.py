@@ -20,7 +20,7 @@ import numpy as np
 
 from .kernels import SmoothingKernel
 from .ncp import EvaluationError, NcpProblem, feas_metric, res_metric
-from .smoothing import EvalCounter, g_r, g_r_partials
+from .smoothing import EvalCounter, _newton_matrix, g_r, g_r_partials
 
 __all__ = [
     "SolveStatus",
@@ -117,7 +117,7 @@ class SolveReport:
 @dataclass(frozen=True)
 class InnerResult:
     x: np.ndarray = field(repr=False)
-    fx: np.ndarray | None = field(repr=False)
+    fx: np.ndarray = field(repr=False)
     iterations: int
     jac_evals: int
     status: InnerStatus
@@ -208,13 +208,11 @@ def _newton_step(jf, d1, d2, h, tridiagonal: bool):
             bump = 1e-10 * (1.0 + float(norm.max()))
             d = _finite(solve_tridiagonal(dl, diag + bump, du, -h))
         return d
-    jac_h = d2[:, None] * jf
-    idx = np.arange(len(h))
-    jac_h[idx, idx] += d1
+    jac_h = _newton_matrix(d1, d2, jf)
     d = _solve_dense(jac_h, h)
     if d is None:
         bump = 1e-10 * (1.0 + float(np.abs(jac_h).sum(axis=1).max()))
-        jac_h[idx, idx] += bump
+        jac_h[np.diag_indices_from(jac_h)] += bump
         d = _solve_dense(jac_h, h)
     return d
 
@@ -359,13 +357,9 @@ def continuation_solve(
         except ArithmeticError:
             trace.append(TracePoint(k, r, x.copy(), res, feas, 0))
             return report(SolveStatus.INNER_FAILURE, res, feas)
-        x = inner.x
-        if inner.fx is not None:
-            fx = inner.fx
-            res = res_metric(x, fx)
-            feas = feas_metric(x, fx)
-        else:
-            res, feas = math.inf, math.inf
+        x, fx = inner.x, inner.fx
+        res = res_metric(x, fx)
+        feas = feas_metric(x, fx)
         trace.append(TracePoint(k, r, x.copy(), res, feas, inner.iterations))
         if inner.status is InnerStatus.SINGULAR_JACOBIAN:
             return report(SolveStatus.INNER_FAILURE, res, feas)

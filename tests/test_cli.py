@@ -5,15 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from smoothncp import (
-    BenchRun,
-    ProblemSpec,
-    format_table,
-    generate_starts,
-    main,
-    run_bench,
-    run_trace,
-)
+from smoothncp import BenchRun, ProblemSpec, generate_starts, run_bench
+from smoothncp.cli import format_table, main, run_trace
 
 COLUMNS = ["problem", "n", "kernel", "OutIter", "InIter", "Res", "Feas", "converged", "cpu_s"]
 
@@ -84,9 +77,7 @@ def test_bench_run_defaults():
     run = BenchRun(problems=(), kernels=("exp",))
     assert run.starts_per_problem == 11
     assert run.rng_seed == 1
-    assert run.output_format == "md"
     assert run.tol == 1e-8
-    assert run.verbose is False
 
 
 def test_bench_run_validation():
@@ -162,7 +153,8 @@ def test_format_json():
 
 
 def test_trace_lines():
-    lines = run_trace(ProblemSpec.from_selector("analytic2d"), ["rational", "exp"], np.ones(2))
+    problem = ProblemSpec.from_selector("analytic2d").build()
+    lines = run_trace(problem, ["rational", "exp"], np.ones(2))
     assert lines[0] == "kernel,outer_index,r,x_1,x_2,F_1,F_2,res,feas"
     for selector in ("rational", "exp"):
         block = [l.split(",") for l in lines[1:] if l.startswith(selector + ",")]

@@ -14,7 +14,6 @@ from smoothncp import (
     PhiLambdaParams,
     make_phi_lambda,
     make_rational,
-    theta_r,
 )
 
 finite_reals = st.floats(-50.0, 50.0, allow_nan=False)
@@ -64,13 +63,6 @@ def test_psi_inverse_roundtrip(kernel, t):
 def test_theta_monotone(kernel, a, b):
     lo, hi = min(a, b), max(a, b)
     assert kernel.theta(lo) <= kernel.theta(hi) + 1e-15
-
-
-@given(t=finite_reals, r=st.floats(1e-4, 10.0))
-def test_theta_r_is_scaled_theta(kernel, t, r):
-    # t/r can reach -5e5 where exp overflows to inf; equality still holds
-    with np.errstate(over="ignore"):
-        assert theta_r(kernel, t, r) == kernel.theta(t / r)
 
 
 def test_theta_limits(kernel):

@@ -10,32 +10,18 @@ from hypothesis import given, strategies as st
 from smoothncp import (
     EvalCounter,
     NcpProblem,
-    f_min,
     fd_jacobian,
-    fixed_point_map,
     g_r,
     g_r_partials,
     h_r,
     h_r_jacobian,
     kernel_from_selector,
     problem_from_selector,
-    smoothed_residual,
 )
 from smoothncp.kernels import _SMALL_N
 
 args = st.floats(-10.0, 10.0, allow_nan=False)
 radii = st.floats(1e-6, 1.0, allow_nan=False)
-
-
-def one_d_problem(with_jacobian=True):
-    """Scalar complementarity problem F(x) = x - 1 with solution x = 1."""
-    return NcpProblem(
-        name="line1d",
-        n=1,
-        eval_F=lambda x: x - 1.0,
-        eval_JF=(lambda x: np.eye(1)) if with_jacobian else None,
-        known_solutions=[np.array([1.0])],
-    )
 
 
 # --- frozen values -----------------------------------------------------------
@@ -109,9 +95,11 @@ def test_soft_min_decreases_in_r(kernel, s, t, r, fac):
 
 
 def test_rejects_nonpositive_r(rational):
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             g_r(rational, 1.0, 1.0, bad)
+        with pytest.raises(ValueError):
+            g_r_partials(rational, 1.0, 1.0, bad)
         with pytest.raises(ValueError):
             h_r(problem_from_selector("analytic2d"), rational, np.ones(2), bad)
 
@@ -253,11 +241,18 @@ def test_soft_min_scalar_in_float_out(kernel):
 @pytest.mark.filterwarnings("error")
 def test_soft_min_non_finite_arguments(kernel):
     inf = math.inf
-    for bad in ((math.nan, 1.0), (1.0, math.nan), (-inf, 1.0), (2.0, -inf), (inf, inf)):
-        with pytest.raises(FloatingPointError):
-            g_r(kernel, *bad, 0.1)
-        with pytest.raises(FloatingPointError):
-            g_r_partials(kernel, *bad, 0.1)
+    bad_pairs = (
+        (math.nan, 1.0), (1.0, math.nan), (-inf, 1.0), (2.0, -inf), (inf, inf),
+        (-inf, inf), (inf, -inf),
+    )
+    for bad in bad_pairs:
+        # as scalars and in an array long enough for the numpy path
+        long = (np.full(_SMALL_N + 8, bad[0]), np.full(_SMALL_N + 8, bad[1]))
+        for s, t in (bad, long):
+            with pytest.raises(FloatingPointError):
+                g_r(kernel, s, t, 0.1)
+            with pytest.raises(FloatingPointError):
+                g_r_partials(kernel, s, t, 0.1)
     # +inf in one argument gives the other one
     for other in (-3.0, 0.0, 0.05, 5.0, 1e300):
         assert g_r(kernel, inf, other, 0.1) == other
@@ -448,42 +443,3 @@ def test_identity_problem_jacobian_is_identity(exponential):
 def test_fd_jacobian_on_quadratic():
     fd = fd_jacobian(lambda x: x**2, np.array([1.0, 2.0]))
     np.testing.assert_allclose(fd, np.diag([2.0, 4.0]), rtol=1e-6)
-
-
-# --- fixed-point form and limit objects ---------------------------------------
-
-
-def test_fixed_point_at_smoothed_root(rational, exponential):
-    problem = one_d_problem()
-    # psi-sum roots of g_r(x, x - 1): exponential x = r ln(1 + e^(1/r)),
-    # rational x = (1 + sqrt(1 + 4 r^2)) / 2
-    x_exp = 0.1 * math.log1p(math.exp(10.0))
-    got = fixed_point_map(problem, exponential, np.array([x_exp]), 0.1)
-    # theta(F/r) loses a few digits to cancellation at F/r ~ 5e-5
-    assert got[0] == pytest.approx(x_exp, rel=1e-10)
-    x_rat = (1.0 + math.sqrt(2.0)) / 2.0
-    got = fixed_point_map(problem, rational, np.array([x_rat]), 0.5)
-    assert got[0] == pytest.approx(x_rat, rel=1e-12)
-
-
-def test_fixed_point_reports_domain_failure(exponential, analytic2d_problem):
-    with pytest.raises(ValueError) as err:
-        fixed_point_map(analytic2d_problem, exponential, np.array([0.5, 0.5]), 0.1)
-    assert err.value.indices == [1]
-
-
-def test_f_min_is_componentwise_min(analytic2d_problem):
-    assert np.array_equal(f_min(analytic2d_problem, np.array([0.0, 1.0])), np.zeros(2))
-    x = np.array([2.0, 2.0])
-    expected = np.minimum(x, analytic2d_problem.eval_F(x))
-    assert np.array_equal(f_min(analytic2d_problem, x), expected)
-
-
-def test_smoothed_residual_bundle(exponential, analytic2d_problem):
-    x = np.array([0.0, 1.0])
-    sr = smoothed_residual(analytic2d_problem, exponential, x, 0.1)
-    assert np.array_equal(sr.values, h_r(analytic2d_problem, exponential, x, 0.1))
-    assert sr.r == 0.1
-    assert sr.jacobian_available is True
-    bare = one_d_problem(with_jacobian=False)
-    assert smoothed_residual(bare, exponential, np.ones(1), 0.1).jacobian_available is False

@@ -14,6 +14,8 @@ from smoothncp import (
     continuation_solve,
     g_r,
     generate_starts,
+    h_r,
+    h_r_jacobian,
     newton_inner,
     problem_from_selector,
     r_init,
@@ -131,6 +133,18 @@ def test_inner_warm_start_is_free(exponential):
     assert warm.status is InnerStatus.SUCCESS
     assert warm.iterations == 0
     assert len(warm.merit_history) == 1
+
+
+def test_inner_dense_step_solves_with_h_r_jacobian(kernel, ks_problem):
+    # near the nondegenerate ks solution the full Newton step is accepted;
+    # it must be the step of the matrix h_r_jacobian returns, to the bit
+    r = 1e-3
+    x0 = ks_problem.known_solutions[0] + np.array([2e-3, 1e-3, -1e-3, 1e-3])
+    res = newton_inner(ks_problem, kernel, r, x0, SolverConfig(max_inner=1))
+    assert res.iterations == 1
+    jac = h_r_jacobian(ks_problem, kernel, x0, r)
+    step = np.linalg.solve(jac, -h_r(ks_problem, kernel, x0, r))
+    assert res.x.tobytes() == (x0 + step).tobytes()
 
 
 def test_inner_singular_jacobian(exponential):
