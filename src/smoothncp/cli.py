@@ -41,10 +41,10 @@ __all__ = [
 ]
 
 BENCH_COLUMNS = (
-    "problem", "n", "kernel", "OutIter", "InIter", "Res", "Feas", "converged", "cpu_s",
+    "problem", "n", "kernel", "OutIter", "InIter", "Res", "Feas", "converged", "wall_s",
 )
 DETAIL_COLUMNS = (
-    "problem", "n", "kernel", "start", "status", "OutIter", "InIter", "Res", "Feas", "cpu_s",
+    "problem", "n", "kernel", "start", "status", "OutIter", "InIter", "Res", "Feas", "wall_s",
 )
 DEFAULT_SUITE = ("analytic2d", "ks", "monotone:10", "monotone:100", "hphard:20", "nash5")
 DEFAULT_KERNELS = ("rational", "exp")
@@ -54,7 +54,8 @@ _BENCH_NOTES = (
     "all starts, max Res and Feas over converged starts, converged = count/starts",
     "monotone:* rows are a synthetic tridiagonal family standing in for cited "
     "test problems whose definitions are not recoverable",
-    "cpu_s is wall clock, not reproducible, and excluded from every comparison",
+    "wall_s is elapsed wall-clock seconds (time.perf_counter), not CPU time; it is "
+    "not reproducible and excluded from every comparison",
 )
 
 _ANALYZE_PAIRS = ((1.0, 2.0), (0.5, 0.3), (3.0, 3.0), (0.1, 5.0))
@@ -125,7 +126,7 @@ def run_bench(run: BenchRun):
                 "Res": max(rep.res for rep in pool),
                 "Feas": max(rep.feas for rep in pool),
                 "converged": f"{len(conv)}/{len(reports)}",
-                "cpu_s": sum(rep.wall_time for rep in reports),
+                "wall_s": sum(rep.wall_time for rep in reports),
             })
             if len(conv) < len(reports):
                 all_ok = False
@@ -140,7 +141,7 @@ def run_bench(run: BenchRun):
                     "InIter": rep.in_iter,
                     "Res": rep.res,
                     "Feas": rep.feas,
-                    "cpu_s": rep.wall_time,
+                    "wall_s": rep.wall_time,
                 })
     return rows, detail, all_ok
 
@@ -148,7 +149,7 @@ def run_bench(run: BenchRun):
 def _fmt_cell(key, value):
     if key in ("Res", "Feas"):
         return f"{value:.3e}"
-    if key == "cpu_s":
+    if key == "wall_s":
         return f"{value:.3f}"
     return str(value)
 

@@ -46,6 +46,17 @@ def _check_r(r):
         raise ValueError("smoothing parameter r must be finite and positive")
 
 
+def _psi_sum(kernel: SmoothingKernel, s_, t_, r: float):
+    """psi(s/r) + psi(t/r) of the generic composition, which must be finite
+    and positive: NaN or -inf arguments and two +inf ones are rejected."""
+    y = kernel.psi(s_ / r) + kernel.psi(t_ / r)
+    if not np.all(np.isfinite(y)) or np.any(np.asarray(y) <= 0.0):
+        raise FloatingPointError(
+            "soft-min evaluation left the representable range of psi"
+        )
+    return y
+
+
 def g_r(kernel: SmoothingKernel, s, t, r: float):
     """Soft minimum of s and t at smoothing level r.
 
@@ -59,11 +70,7 @@ def g_r(kernel: SmoothingKernel, s, t, r: float):
         return kernel.softmin_override(s, t, r)
     s_ = np.asarray(s, dtype=float)
     t_ = np.asarray(t, dtype=float)
-    y = kernel.psi(s_ / r) + kernel.psi(t_ / r)
-    if not np.all(np.isfinite(y)) or np.any(np.asarray(y) <= 0.0):
-        raise FloatingPointError(
-            "soft-min evaluation left the representable range of psi"
-        )
+    y = _psi_sum(kernel, s_, t_, r)
     # rounding in psi, the sum and psi_inv can lift the exact value, which
     # never exceeds min(s, t), above it by an ulp at small r
     g = np.minimum(r * kernel.psi_inv(y), np.minimum(s_, t_))
@@ -82,8 +89,7 @@ def g_r_partials(kernel: SmoothingKernel, s, t, r: float):
         return kernel.softmin_partials_override(s, t, r)
     s_ = np.asarray(s, dtype=float)
     t_ = np.asarray(t, dtype=float)
-    y = kernel.psi(s_ / r) + kernel.psi(t_ / r)
-    w = kernel.dpsi(kernel.psi_inv(y))
+    w = kernel.dpsi(kernel.psi_inv(_psi_sum(kernel, s_, t_, r)))
     if np.any(np.asarray(w) == 0.0):
         raise ArithmeticError("psi' vanished at the soft-min composition point")
     return kernel.dpsi(s_ / r) / w, kernel.dpsi(t_ / r) / w

@@ -1,12 +1,16 @@
 """Damped Newton inner solver wrapped in the r-continuation outer loop.
 
 The outer schedule is fixed: r starts at max(1, sqrt(Res(x0))), each
-successful inner solve appends a trace point, and r contracts by
+inner solve appends a trace point, and r contracts by
 max(r_floor, min(0.1 r, r^2, sqrt(Res))) until Res <= outer_tol.  The
-inner solver is plain damped Newton on the squared residual merit.  Its
-steps use dense LU, or an O(n) tridiagonal elimination when the problem
-declares a tridiagonal Jacobian; iterates are never projected onto the
-nonnegative orthant, feasibility is only measured.
+inner solver is damped Newton on the squared residual merit.  Its steps
+use dense LU, or an O(n) tridiagonal elimination when the problem
+declares a tridiagonal Jacobian.  A level only has to follow the
+smoothing path, not to solve H_r = 0 exactly: once its line search keeps
+cutting the step short it hands over to the next r (InnerStatus.STALLED).
+A level that stalls or whose line search fails is projected onto the
+nonnegative orthant before it hands over; the iterates of other levels
+are never projected, so their feasibility is only measured.
 """
 
 from __future__ import annotations
@@ -35,6 +39,12 @@ __all__ = [
     "continuation_solve",
 ]
 
+# An inner solve is stalled after STALL_STEPS consecutive accepted steps
+# shorter than STALL_ALPHA: the level then costs many F evaluations per
+# step and makes little progress, and the next r serves the path better.
+STALL_ALPHA = 2.0 ** -6
+STALL_STEPS = 3
+
 
 class SolveStatus(str, Enum):
     CONVERGED = "converged"
@@ -48,6 +58,7 @@ class InnerStatus(str, Enum):
     MAX_ITERATIONS = "max_iterations"
     LINE_SEARCH_FAILED = "line_search_failed"
     SINGULAR_JACOBIAN = "singular_jacobian"
+    STALLED = "stalled"
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TracePoint:
-    """State after one outer iteration: the inner solution at one r."""
+    """State after one outer iteration: the point handed on from one r.
+
+    inner_status is how that level's inner solve ended, or None when the
+    level ended in an error before the inner solve returned.
+    """
 
     outer_index: int
     r: float
@@ -88,6 +103,7 @@ class TracePoint:
     res: float
     feas: float
     inner_iters: int
+    inner_status: InnerStatus | None
 
 
 @dataclass(frozen=True)
@@ -231,8 +247,9 @@ def newton_inner(
     Merit m(x) = 0.5 ||H_r(x)||^2 with Armijo acceptance
     m(x + a d) <= (1 - 2 sigma a) m(x).  Trial points where F or the
     composition is undefined count as merit +inf and shorten the step;
-    evaluation errors at the starting point propagate.  Passing fx0
-    (the value of F at x0) skips the initial F evaluation.
+    evaluation errors at the starting point propagate.  The solve ends
+    STALLED after STALL_STEPS consecutive accepted steps with a < STALL_ALPHA.
+    Passing fx0 (the value of F at x0) skips the initial F evaluation.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -246,6 +263,7 @@ def newton_inner(
     hinf = float(np.max(np.abs(h)))
     iters = 0
     jac_evals = 0
+    short_steps = 0
     jacobian = problem.jacobian_bands if problem.tridiagonal else problem.jacobian
 
     def result(status):
@@ -260,6 +278,8 @@ def newton_inner(
         )
 
     while hinf > cfg.inner_tol:
+        if short_steps >= STALL_STEPS:
+            return result(InnerStatus.STALLED)
         if iters >= cfg.max_inner:
             return result(InnerStatus.MAX_ITERATIONS)
         jf = jacobian(x, counter)
@@ -291,9 +311,14 @@ def newton_inner(
             return result(InnerStatus.LINE_SEARCH_FAILED)
         x, fx, h, merit = trial, fx_t, h_t, merit_t
         hinf = float(np.max(np.abs(h)))
+        short_steps = short_steps + 1 if alpha < STALL_ALPHA else 0
         merits.append(merit)
         iters += 1
     return result(InnerStatus.SUCCESS)
+
+
+# inner exits whose iterate is projected onto x >= 0 before it hands over
+_PROJECTED = (InnerStatus.LINE_SEARCH_FAILED, InnerStatus.STALLED)
 
 
 def continuation_solve(
@@ -304,13 +329,17 @@ def continuation_solve(
 ) -> SolveReport:
     """Solve the complementarity problem by driving r to zero.
 
-    Inner solves that merely exhaust their budgets hand their best iterate
+    Inner solves that stall or exhaust their budgets hand their best iterate
     to the next, smaller r: at large r the smoothed system may have no
-    root at all, so a merit stall there is expected, not fatal.  A hard
-    inner breakdown (singular linearization) retries once at the geometric
-    mean of the failed and the previous r, warm started from the same
-    point; a second breakdown ends the run with inner_failure.  Domain
-    errors at accepted points end the run with evaluation_error.
+    root at all, so a merit stall there is expected, not fatal.  When the
+    line search failed or stalled, negative entries of that iterate are set
+    to zero first, and F, Res and Feas are evaluated at the projected point:
+    this moves the iterate off non-root stationary points of the merit in
+    the infeasible region.  A hard inner breakdown (singular linearization)
+    retries once at the geometric mean of the failed and the previous r,
+    warm started from the same point; a second breakdown ends the run with
+    inner_failure.  Domain errors at accepted or projected points end the
+    run with evaluation_error.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -337,7 +366,7 @@ def continuation_solve(
     try:
         fx = problem.F(x, counter)
     except EvaluationError:
-        trace.append(TracePoint(0, math.inf, x.copy(), math.inf, math.inf, 0))
+        trace.append(TracePoint(0, math.inf, x.copy(), math.inf, math.inf, 0, None))
         return report(SolveStatus.EVALUATION_ERROR, math.inf, math.inf)
     r = r_init(x, fx)
     prev_r = None
@@ -352,15 +381,23 @@ def continuation_solve(
                 if retry.status is not InnerStatus.SINGULAR_JACOBIAN:
                     inner, r = retry, r_retry
         except EvaluationError:
-            trace.append(TracePoint(k, r, x.copy(), math.inf, math.inf, 0))
+            trace.append(TracePoint(k, r, x.copy(), math.inf, math.inf, 0, None))
             return report(SolveStatus.EVALUATION_ERROR, math.inf, math.inf)
         except ArithmeticError:
-            trace.append(TracePoint(k, r, x.copy(), res, feas, 0))
+            trace.append(TracePoint(k, r, x.copy(), res, feas, 0, None))
             return report(SolveStatus.INNER_FAILURE, res, feas)
         x, fx = inner.x, inner.fx
+        if inner.status in _PROJECTED and (x < 0.0).any():
+            x = np.maximum(x, 0.0)
+            try:
+                fx = problem.F(x, counter)
+            except EvaluationError:
+                trace.append(TracePoint(
+                    k, r, x.copy(), math.inf, math.inf, inner.iterations, inner.status))
+                return report(SolveStatus.EVALUATION_ERROR, math.inf, math.inf)
         res = res_metric(x, fx)
         feas = feas_metric(x, fx)
-        trace.append(TracePoint(k, r, x.copy(), res, feas, inner.iterations))
+        trace.append(TracePoint(k, r, x.copy(), res, feas, inner.iterations, inner.status))
         if inner.status is InnerStatus.SINGULAR_JACOBIAN:
             return report(SolveStatus.INNER_FAILURE, res, feas)
         if res <= cfg.outer_tol:

@@ -8,7 +8,7 @@ import pytest
 from smoothncp import BenchRun, ProblemSpec, generate_starts, run_bench
 from smoothncp.cli import format_table, main, run_trace
 
-COLUMNS = ["problem", "n", "kernel", "OutIter", "InIter", "Res", "Feas", "converged", "cpu_s"]
+COLUMNS = ["problem", "n", "kernel", "OutIter", "InIter", "Res", "Feas", "converged", "wall_s"]
 
 
 def small_run(**overrides):
@@ -23,7 +23,7 @@ def small_run(**overrides):
 
 
 def rows_without_timing(rows):
-    return [{k: v for k, v in row.items() if k != "cpu_s"} for row in rows]
+    return [{k: v for k, v in row.items() if k != "wall_s"} for row in rows]
 
 
 # --- protocol starts -------------------------------------------------------------

@@ -268,6 +268,20 @@ def test_soft_min_non_finite_arguments(kernel):
     assert (ds[1], dt[1]) == g_r_partials(kernel, 1.0, 3.0, 0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "pair", [(math.nan, 1.0), (-math.inf, 1.0), (-math.inf, math.inf), (math.inf, math.inf)]
+)
+def test_generic_composition_non_finite_arguments(pair):
+    # phi:3 has no closed form; its partials returned made-up weights for
+    # these pairs, and a ValueError for (inf, inf), where g_r raises
+    kern = kernel_from_selector("phi:3")
+    with pytest.raises(FloatingPointError):
+        g_r(kern, *pair, 0.5)
+    with pytest.raises(FloatingPointError):
+        g_r_partials(kern, *pair, 0.5)
+
+
 def test_rational_huge_arguments_stay_finite(rational):
     # s / r overflows: the composition raised here, and its partials a bare
     # ValueError that the solver's ArithmeticError handler does not catch

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from smoothncp import (
+    EvaluationError,
+    InnerResult,
     InnerStatus,
     NcpProblem,
     SolveStatus,
@@ -21,6 +23,7 @@ from smoothncp import (
     r_init,
     r_update,
 )
+from smoothncp.ncp import feas_metric, res_metric
 from smoothncp import solver as solver_module
 from smoothncp.solver import solve_tridiagonal
 
@@ -30,6 +33,23 @@ def line1d():
     return NcpProblem(
         name="line1d", n=1, eval_F=lambda x: x - 1.0,
         eval_JF=lambda x: np.eye(1), known_solutions=[np.array([1.0])],
+    )
+
+
+def bowl():
+    """F(x) = (x - 5)^2 + 1, undefined for x <= 1: no root on the domain.
+
+    Near x = 5 Newton steps on the merit point far past its minimum, so the
+    line search keeps cutting them short."""
+
+    def eval_F(x):
+        if x[0] <= 1.0:
+            raise EvaluationError("bowl is defined for x > 1")
+        return (x - 5.0) ** 2 + 1.0
+
+    return NcpProblem(
+        name="bowl", n=1, eval_F=eval_F,
+        eval_JF=lambda x: np.array([[2.0 * (x[0] - 5.0)]]),
     )
 
 
@@ -147,6 +167,21 @@ def test_inner_dense_step_solves_with_h_r_jacobian(kernel, ks_problem):
     assert res.x.tobytes() == (x0 + step).tobytes()
 
 
+def test_inner_stalls_on_short_steps(kernel, monkeypatch):
+    res = newton_inner(bowl(), kernel, 0.01, np.array([5.3]))
+    assert res.status is InnerStatus.STALLED
+    assert res.iterations >= solver_module.STALL_STEPS
+    merits = res.merit_history
+    assert all(b < a for a, b in zip(merits, merits[1:]))
+    assert merits[-1] > 0.3  # a stall, not a root
+    # with the stall rule switched off the same steps go on past it
+    monkeypatch.setattr(solver_module, "STALL_STEPS", 10**9)
+    cfg = SolverConfig(max_inner=2 * res.iterations)
+    unbounded = newton_inner(bowl(), kernel, 0.01, np.array([5.3]), cfg)
+    assert unbounded.status is not InnerStatus.STALLED
+    assert unbounded.merit_history[:len(merits)] == merits
+
+
 def test_inner_singular_jacobian(exponential):
     res = newton_inner(nan_jacobian_problem(), exponential, 1.0, np.zeros(1))
     assert res.status is InnerStatus.SINGULAR_JACOBIAN
@@ -173,6 +208,8 @@ def test_continuation_converges(kernel, analytic2d_problem):
     assert rep.in_iter >= sum(tp.inner_iters for tp in rep.trace)
     assert np.array_equal(rep.x_final, rep.trace[-1].x)
     assert rep.res == rep.trace[-1].res
+    assert all(isinstance(tp.inner_status, InnerStatus) for tp in rep.trace)
+    assert rep.trace[-1].inner_status is InnerStatus.SUCCESS
 
 
 @pytest.mark.parametrize("selector", ["analytic2d", "ks", "monotone:10"])
@@ -194,6 +231,106 @@ def test_continuation_reports_f_evals(kernel, selector):
         assert rep.f_evals > rep.in_iter
 
 
+def spy_inner(monkeypatch, reply=None):
+    """Record (start, result) of every inner solve; when reply is given,
+    return it in place of a real solve."""
+    calls = []
+    real = solver_module.newton_inner
+
+    def spy(problem, kernel, r, x0, cfg=None, counter=None, fx0=None):
+        result = real(problem, kernel, r, x0, cfg, counter, fx0) if reply is None else reply
+        calls.append((np.array(x0), result))
+        return result
+
+    monkeypatch.setattr(solver_module, "newton_inner", spy)
+    return calls
+
+
+def canned(status):
+    """An inner result at x = (-1, 2) of F(x) = x - 1."""
+    return InnerResult(
+        x=np.array([-1.0, 2.0]), fx=np.array([-2.0, 1.0]), iterations=2, jac_evals=2,
+        status=status, merit_history=[], residual_inf=1.0,
+    )
+
+
+PROJECTED = (InnerStatus.LINE_SEARCH_FAILED, InnerStatus.STALLED)
+
+
+@pytest.mark.parametrize(
+    "status", [s for s in InnerStatus if s is not InnerStatus.SINGULAR_JACOBIAN])
+def test_continuation_projects_only_failed_and_stalled_levels(exponential, monkeypatch, status):
+    f_calls = []
+
+    def eval_F(x):
+        f_calls.append(1)
+        return x - 1.0
+
+    shifted = NcpProblem(name="shifted", n=2, eval_F=eval_F, eval_JF=lambda x: np.eye(2))
+    calls = spy_inner(monkeypatch, canned(status))
+    rep = continuation_solve(shifted, exponential, np.ones(2), SolverConfig(max_outer=2))
+    assert rep.status is SolveStatus.MAX_OUTER_EXCEEDED
+    handed = [0.0, 2.0] if status in PROJECTED else [-1.0, 2.0]
+    assert np.array_equal(calls[1][0], handed)
+    assert rep.trace[0].inner_status is status
+    assert np.array_equal(rep.trace[0].x, handed)
+    # F(x0), then F at each projected point, counted
+    assert rep.f_evals == len(f_calls) == (3 if status in PROJECTED else 1)
+    # the report ends after a projection: its Res and Feas are those of x_final
+    assert np.array_equal(rep.x_final, handed)
+    fx = np.array(handed) - 1.0
+    assert (rep.res, rep.feas) == (res_metric(rep.x_final, fx), feas_metric(rep.x_final, fx))
+
+
+def test_continuation_projection_evaluation_error(exponential, monkeypatch):
+    def eval_F(x):
+        if (x == 0.0).any():
+            raise EvaluationError("F is undefined where x has a zero entry")
+        return x - 1.0
+
+    holes = NcpProblem(name="holes", n=2, eval_F=eval_F, eval_JF=lambda x: np.eye(2))
+    spy_inner(monkeypatch, canned(InnerStatus.LINE_SEARCH_FAILED))
+    rep = continuation_solve(holes, exponential, np.ones(2))
+    assert rep.status is SolveStatus.EVALUATION_ERROR
+    assert math.isinf(rep.res) and math.isinf(rep.feas)
+    assert np.array_equal(rep.x_final, [0.0, 2.0])
+    assert rep.trace[-1].inner_status is InnerStatus.LINE_SEARCH_FAILED
+
+
+def test_continuation_hands_on_projected_iterates(kernel, ks_problem, monkeypatch):
+    # start 29 of this seed leads both kernels to stall at r ~ 0.49 with
+    # x_3 < 0, where ks/exp used to stay: a non-root stationary point of
+    # the merit
+    x0 = generate_starts(4, 30, seed=4047793131)[29]
+    calls = spy_inner(monkeypatch)
+    rep = continuation_solve(ks_problem, kernel, x0)
+    assert rep.status is SolveStatus.CONVERGED
+    assert len(calls) == len(rep.trace)
+    projected = 0
+    for (_, inner), (nxt, _), tp in zip(calls, calls[1:], rep.trace):
+        assert tp.inner_status is inner.status
+        if inner.status in PROJECTED:
+            projected += (inner.x < 0.0).any()
+            assert np.array_equal(nxt, np.maximum(inner.x, 0.0))
+        else:
+            assert np.array_equal(nxt, inner.x)
+        assert np.array_equal(nxt, tp.x)
+    assert projected
+    for x, res, feas in [(tp.x, tp.res, tp.feas) for tp in rep.trace] + [
+            (rep.x_final, rep.res, rep.feas)]:
+        fx = ks_problem.eval_F(x)
+        assert (res, feas) == (res_metric(x, fx), feas_metric(x, fx))
+
+
+def test_ks_stationary_trap_start_converges(kernel, ks_problem):
+    # ks/exp ended max_outer_exceeded here at Res 0.2, every level after
+    # r ~ 0.49 stuck at x = (-0.005, 2.13, -0.25, 0.02)
+    x0 = generate_starts(4, 30, seed=4047793131)[29]
+    rep = continuation_solve(ks_problem, kernel, x0)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.res <= 1e-8
+
+
 def test_continuation_statuses_are_strings():
     assert SolveStatus.CONVERGED.value == "converged"
     assert SolveStatus.MAX_OUTER_EXCEEDED.value == "max_outer_exceeded"
@@ -201,6 +338,7 @@ def test_continuation_statuses_are_strings():
     assert SolveStatus.EVALUATION_ERROR.value == "evaluation_error"
     assert InnerStatus.SUCCESS.value == "success"
     assert InnerStatus.SINGULAR_JACOBIAN.value == "singular_jacobian"
+    assert InnerStatus.STALLED.value == "stalled"
 
 
 def test_continuation_evaluation_error(exponential):
@@ -209,6 +347,7 @@ def test_continuation_evaluation_error(exponential):
     assert rep.status is SolveStatus.EVALUATION_ERROR
     assert rep.out_iter == 1 and len(rep.trace) == 1
     assert math.isinf(rep.res) and math.isinf(rep.trace[0].r)
+    assert rep.trace[0].inner_status is None
 
 
 def test_continuation_max_outer(exponential):
@@ -232,6 +371,7 @@ def test_continuation_inner_failure(exponential):
     rep = continuation_solve(nan_jacobian_problem(), exponential, np.zeros(1))
     assert rep.status is SolveStatus.INNER_FAILURE
     assert len(rep.trace) == 1
+    assert rep.trace[0].inner_status is InnerStatus.SINGULAR_JACOBIAN
 
 
 def test_continuation_rejects_bad_start_shape(exponential, analytic2d_problem):
