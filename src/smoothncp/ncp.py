@@ -116,11 +116,12 @@ class NcpProblem:
         x_ = np.asarray(x, dtype=float)
         if x_.shape != (self.n,):
             raise ValueError(f"expected point of shape ({self.n},), got {x_.shape}")
+        # counted before the call, so evaluations that raise count too
+        if counter is not None:
+            counter.f_evals += 1
         fx = np.asarray(self.eval_F(x_), dtype=float)
         if fx.shape != (self.n,):
             raise ValueError(f"F returned shape {fx.shape}, expected ({self.n},)")
-        if counter is not None:
-            counter.f_evals += 1
         return fx
 
     def jacobian(self, x, counter: EvalCounter | None = None) -> np.ndarray:

@@ -128,8 +128,7 @@ def _newton_matrix(d1, d2, jf) -> np.ndarray:
     """Dense D1 + D2 * JF from the soft-min partials d1, d2 and the Jacobian
     of F; the Newton matrix the solver factors."""
     out = d2[:, None] * jf
-    idx = np.arange(len(d1))
-    out[idx, idx] += d1
+    out.flat[:: len(d1) + 1] += d1
     return out
 
 

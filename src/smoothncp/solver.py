@@ -6,11 +6,13 @@ max(r_floor, min(0.1 r, r^2, sqrt(Res))) until Res <= outer_tol.  The
 inner solver is damped Newton on the squared residual merit.  Its steps
 use dense LU, or an O(n) tridiagonal elimination when the problem
 declares a tridiagonal Jacobian.  A level only has to follow the
-smoothing path, not to solve H_r = 0 exactly: once its line search keeps
-cutting the step short it hands over to the next r (InnerStatus.STALLED).
-A level that stalls or whose line search fails is projected onto the
-nonnegative orthant before it hands over; the iterates of other levels
-are never projected, so their feasibility is only measured.
+smoothing path, not to solve H_r = 0 exactly: once its line search has to
+cut a step below STALL_ALPHA it hands over to the next r without taking
+that step (InnerStatus.STALLED).  A level that stalls or whose line search
+fails is projected onto the nonnegative orthant before it hands over; the
+iterates of other levels are never projected.  A run converges when
+Res <= outer_tol and Feas <= sqrt(outer_tol): a projected point can have
+Res = 0 and still violate F >= 0.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ __all__ = [
     "continuation_solve",
 ]
 
-# An inner solve is stalled after STALL_STEPS consecutive accepted steps
-# shorter than STALL_ALPHA: the level then costs many F evaluations per
-# step and makes little progress, and the next r serves the path better.
+# An inner solve is stalled once its line search needs a step shorter than
+# STALL_ALPHA: the level then costs many F evaluations per step and makes
+# little progress, and the next r serves the path better.
 STALL_ALPHA = 2.0 ** -6
-STALL_STEPS = 3
 
 
 class SolveStatus(str, Enum):
@@ -195,7 +196,12 @@ def solve_tridiagonal(dl, d, du, b):
 
 
 def _finite(d):
-    return d if d is not None and np.isfinite(d).all() else None
+    # the sum of squares is NaN or inf when an entry is; it also overflows
+    # above 1e154, so only a non-finite sum sends d to the entrywise check
+    # (np.vdot, unlike d @ d, gives no overflow warning)
+    if d is None or not (math.isfinite(np.vdot(d, d)) or np.isfinite(d).all()):
+        return None
+    return d
 
 
 def _solve_dense(jac_h, h):
@@ -248,7 +254,9 @@ def newton_inner(
     m(x + a d) <= (1 - 2 sigma a) m(x).  Trial points where F or the
     composition is undefined count as merit +inf and shorten the step;
     evaluation errors at the starting point propagate.  The solve ends
-    STALLED after STALL_STEPS consecutive accepted steps with a < STALL_ALPHA.
+    STALLED, keeping the last accepted iterate, as soon as a step would need
+    a < STALL_ALPHA, and LINE_SEARCH_FAILED when max_backtracks runs out
+    first.
     Passing fx0 (the value of F at x0) skips the initial F evaluation.
     """
     if cfg is None:
@@ -260,10 +268,9 @@ def newton_inner(
     h = g_r(kernel, x, fx, r)
     merit = 0.5 * float(h @ h)
     merits = [merit]
-    hinf = float(np.max(np.abs(h)))
+    hinf = float(np.abs(h).max())
     iters = 0
     jac_evals = 0
-    short_steps = 0
     jacobian = problem.jacobian_bands if problem.tridiagonal else problem.jacobian
 
     def result(status):
@@ -278,8 +285,6 @@ def newton_inner(
         )
 
     while hinf > cfg.inner_tol:
-        if short_steps >= STALL_STEPS:
-            return result(InnerStatus.STALLED)
         if iters >= cfg.max_inner:
             return result(InnerStatus.MAX_ITERATIONS)
         jf = jacobian(x, counter)
@@ -292,8 +297,9 @@ def newton_inner(
         if d is None:
             return result(InnerStatus.SINGULAR_JACOBIAN)
         alpha = 1.0
-        accepted = False
         for _ in range(cfg.max_backtracks + 1):
+            if alpha < STALL_ALPHA:
+                return result(InnerStatus.STALLED)
             trial = x + alpha * d
             try:
                 fx_t = problem.F(trial, counter)
@@ -304,14 +310,12 @@ def newton_inner(
             # strict inequality keeps every accepted step a real decrease
             # even when the Armijo bound rounds to merit itself
             if merit_t < merit and merit_t <= (1.0 - 2.0 * cfg.armijo_sigma * alpha) * merit:
-                accepted = True
                 break
             alpha *= cfg.backtrack_factor
-        if not accepted:
+        else:
             return result(InnerStatus.LINE_SEARCH_FAILED)
         x, fx, h, merit = trial, fx_t, h_t, merit_t
-        hinf = float(np.max(np.abs(h)))
-        short_steps = short_steps + 1 if alpha < STALL_ALPHA else 0
+        hinf = float(np.abs(h).max())
         merits.append(merit)
         iters += 1
     return result(InnerStatus.SUCCESS)
@@ -339,7 +343,9 @@ def continuation_solve(
     retries once at the geometric mean of the failed and the previous r,
     warm started from the same point; a second breakdown ends the run with
     inner_failure.  Domain errors at accepted or projected points end the
-    run with evaluation_error.
+    run with evaluation_error.  The run converges at the first level with
+    Res <= outer_tol and Feas <= sqrt(outer_tol); Res alone is zero at any
+    projected point where each x_i F_i = 0, even when some F_i < 0.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -347,6 +353,7 @@ def continuation_solve(
     if x.shape != (problem.n,):
         raise ValueError(f"expected start of shape ({problem.n},), got {x.shape}")
     counter = EvalCounter()
+    feas_tol = math.sqrt(cfg.outer_tol)
     trace: list[TracePoint] = []
     t0 = time.perf_counter()
 
@@ -400,7 +407,7 @@ def continuation_solve(
         trace.append(TracePoint(k, r, x.copy(), res, feas, inner.iterations, inner.status))
         if inner.status is InnerStatus.SINGULAR_JACOBIAN:
             return report(SolveStatus.INNER_FAILURE, res, feas)
-        if res <= cfg.outer_tol:
+        if res <= cfg.outer_tol and feas <= feas_tol:
             return report(SolveStatus.CONVERGED, res, feas)
         prev_r = r
         r_new = r_update(r, x, fx, cfg.r_floor)

@@ -19,6 +19,7 @@ from smoothncp import (
     problem_from_selector,
 )
 from smoothncp.kernels import _SMALL_N
+from smoothncp.smoothing import _newton_matrix
 
 args = st.floats(-10.0, 10.0, allow_nan=False)
 radii = st.floats(1e-6, 1.0, allow_nan=False)
@@ -452,6 +453,14 @@ def test_identity_problem_jacobian_is_identity(exponential):
     )
     jac = h_r_jacobian(problem, exponential, np.array([0.3, 1.0, 2.5]), 0.2)
     assert np.array_equal(jac, np.eye(3))
+
+
+@pytest.mark.parametrize("n", [1, 4, 33])
+def test_newton_matrix_is_diagonal_plus_scaled_jacobian(n):
+    rng = np.random.default_rng(n)
+    d1, d2 = rng.uniform(0.0, 1.0, (2, n))
+    jf = rng.normal(size=(n, n))
+    assert (_newton_matrix(d1, d2, jf) == np.diag(d1) + d2[:, None] * jf).all()
 
 
 def test_fd_jacobian_on_quadratic():

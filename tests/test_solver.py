@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from smoothncp import (
+    EvalCounter,
     EvaluationError,
     InnerResult,
     InnerStatus,
@@ -167,19 +168,36 @@ def test_inner_dense_step_solves_with_h_r_jacobian(kernel, ks_problem):
     assert res.x.tobytes() == (x0 + step).tobytes()
 
 
-def test_inner_stalls_on_short_steps(kernel, monkeypatch):
-    res = newton_inner(bowl(), kernel, 0.01, np.array([5.3]))
+def test_inner_stalls_on_short_steps(kernel):
+    counter = EvalCounter()
+    res = newton_inner(bowl(), kernel, 0.01, np.array([5.3]), counter=counter)
     assert res.status is InnerStatus.STALLED
-    assert res.iterations >= solver_module.STALL_STEPS
+    assert res.iterations >= 1
     merits = res.merit_history
     assert all(b < a for a, b in zip(merits, merits[1:]))
     assert merits[-1] > 0.3  # a stall, not a root
-    # with the stall rule switched off the same steps go on past it
-    monkeypatch.setattr(solver_module, "STALL_STEPS", 10**9)
-    cfg = SolverConfig(max_inner=2 * res.iterations)
-    unbounded = newton_inner(bowl(), kernel, 0.01, np.array([5.3]), cfg)
-    assert unbounded.status is not InnerStatus.STALLED
-    assert unbounded.merit_history[:len(merits)] == merits
+    # the same accepted steps, stopped by the budget just before the stall:
+    # the stalled level keeps the last accepted iterate, and its last search
+    # tried a = 1, 1/2, ..., STALL_ALPHA and nothing shorter
+    before = EvalCounter()
+    cfg = SolverConfig(max_inner=res.iterations)
+    budget = newton_inner(bowl(), kernel, 0.01, np.array([5.3]), cfg, before)
+    assert budget.status is InnerStatus.MAX_ITERATIONS
+    assert budget.merit_history == merits
+    assert budget.x.tobytes() == res.x.tobytes()
+    assert counter.f_evals - before.f_evals == 7
+    assert 0.5 ** 6 == solver_module.STALL_ALPHA
+    # a search whose backtracks run out before STALL_ALPHA fails instead
+    short = newton_inner(bowl(), kernel, 0.01, np.array([5.3]), SolverConfig(max_backtracks=3))
+    assert short.status is InnerStatus.LINE_SEARCH_FAILED
+
+
+def test_finite_step_check():
+    step = np.array([1e200, -1e200])
+    assert solver_module._finite(step) is step
+    assert solver_module._finite(np.array([1.0, math.nan])) is None
+    assert solver_module._finite(np.array([math.inf, 1.0])) is None
+    assert solver_module._finite(None) is None
 
 
 def test_inner_singular_jacobian(exponential):
@@ -295,6 +313,65 @@ def test_continuation_projection_evaluation_error(exponential, monkeypatch):
     assert math.isinf(rep.res) and math.isinf(rep.feas)
     assert np.array_equal(rep.x_final, [0.0, 2.0])
     assert rep.trace[-1].inner_status is InnerStatus.LINE_SEARCH_FAILED
+    # F(x0), then the F call that raised at the projected point
+    assert rep.f_evals == 2
+
+
+def test_continuation_needs_feasibility_to_converge(exponential, analytic2d_problem, monkeypatch):
+    # the stall projects (-1, -1) onto (0, 0), where every x_i F_i = 0, so
+    # Res = 0, but F(0, 0) = (2, -2) violates F >= 0
+    x = np.array([-1.0, -1.0])
+    stalled = InnerResult(
+        x=x, fx=analytic2d_problem.eval_F(x), iterations=1, jac_evals=1,
+        status=InnerStatus.STALLED, merit_history=[], residual_inf=1.0)
+    spy_inner(monkeypatch, stalled)
+    rep = continuation_solve(analytic2d_problem, exponential, np.ones(2))
+    assert rep.trace[0].res == 0.0 and rep.trace[0].feas == 2.0
+    assert rep.status is SolveStatus.MAX_OUTER_EXCEEDED
+    assert (rep.res, rep.feas) == (0.0, 2.0)
+
+
+def test_analytic2d_projected_stall_start_converges(exponential, analytic2d_problem):
+    # the first level stalls at r ~ 311 and projects onto (0, 0), which
+    # ended the run there as converged with Feas 2
+    x0 = generate_starts(2, 30, seed=1752995437)[28]
+    rep = continuation_solve(analytic2d_problem, exponential, x0)
+    assert (rep.trace[0].res, rep.trace[0].feas) == (0.0, 2.0)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.res <= 1e-8 and rep.feas <= 1e-4
+
+
+# Summed (OutIter, InIter, F evals) over the 33 protocol starts at seed 1 of
+# the default-suite rows whose line searches never need a step below
+# STALL_ALPHA: every level ends success, so neither the stall rule nor the
+# projection touches them, and their work must not move with either.
+UNSTALLED_ROWS = {
+    ("monotone:10", "rational"): (197, 864, 897),
+    ("monotone:10", "exp"): (163, 601, 635),
+    ("monotone:100", "rational"): (197, 882, 915),
+    ("monotone:100", "exp"): (163, 618, 652),
+    ("hphard:20", "rational"): (230, 1477, 1965),
+    ("hphard:20", "exp"): (197, 1469, 2709),
+    ("nash5", "rational"): (198, 722, 755),
+    ("nash5", "exp"): (99, 392, 425),
+}
+
+
+@pytest.mark.parametrize("selector", ["analytic2d", "ks", "monotone:10", "monotone:100",
+                                      "hphard:20", "nash5"])
+def test_default_suite_rows(kernel, selector):
+    problem = problem_from_selector(selector)
+    reports = [continuation_solve(problem, kernel, x0)
+               for x0 in generate_starts(problem.n, 33, seed=1)]
+    for rep in reports:
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.res <= 1e-8 and rep.feas <= 1e-4
+    expected = UNSTALLED_ROWS.get((selector, kernel.name))
+    if expected is None:
+        return
+    assert all(tp.inner_status is InnerStatus.SUCCESS for rep in reports for tp in rep.trace)
+    work = tuple(sum(getattr(rep, f) for rep in reports) for f in ("out_iter", "in_iter", "f_evals"))
+    assert work == expected
 
 
 def test_continuation_hands_on_projected_iterates(kernel, ks_problem, monkeypatch):
