@@ -38,7 +38,6 @@ __all__ = [
 SUBADD_SLACK = 1e-12
 HESSIAN_DET_SLACK = 1e-10
 SPEED_SLACK = 1e-9
-LIMIT_ZERO_TOL = 1e-6
 _HESSIAN_BLOCK = 32768  # grid points per block of check_concavity's Hessian route
 _SUBADD_BLOCK = 32768  # pairs per block of check_subadditivity
 
@@ -296,10 +295,6 @@ class LimitEstimate:
     g_values: tuple
     limit: float
     consistent: bool
-
-    @property
-    def limit_is_zero(self) -> bool:
-        return abs(self.limit) <= LIMIT_ZERO_TOL
 
 
 def limit_probe(

@@ -301,21 +301,6 @@ def _emit(text: str, out_path: str | None):
             fh.write(text + "\n")
 
 
-def _apply_n(selectors, n):
-    # bare family names get the --n suffix; explicit selectors pass through
-    if n is None:
-        return list(selectors)
-    rewritten = []
-    for sel in selectors:
-        if sel in ("hphard", "monotone", "linspd"):
-            rewritten.append(f"{sel}:{n}")
-        elif sel == "nash":
-            rewritten.append(f"nash{n}")
-        else:
-            rewritten.append(sel)
-    return rewritten
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothncp",
@@ -328,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="problem selector, repeatable (default analytic2d)")
     solve_p.add_argument("--theta", action="append",
                          help="kernel selector, repeatable (default rational and exp)")
-    solve_p.add_argument("--n", type=int, default=None, help="size for bare family selectors")
     solve_p.add_argument("--tol", type=float, default=1e-8)
     solve_p.add_argument("--out", default=None)
 
@@ -337,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="problem selector, repeatable (default: the shipped suite)")
     bench_p.add_argument("--theta", action="append",
                          help="kernel selector, repeatable (default rational and exp)")
-    bench_p.add_argument("--n", type=int, default=None)
     bench_p.add_argument("--seed", type=int, default=1)
     bench_p.add_argument("--starts", type=int, default=11)
     bench_p.add_argument("--tol", type=float, default=1e-8)
@@ -349,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser("trace", help="dump per-iteration trajectories as CSV")
     trace_p.add_argument("--problem", default="analytic2d")
     trace_p.add_argument("--theta", action="append")
-    trace_p.add_argument("--n", type=int, default=None)
     trace_p.add_argument("--tol", type=float, default=1e-8)
     trace_p.add_argument("--out", default=None)
 
@@ -367,31 +349,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    selectors = _apply_n(args.problem or ["analytic2d"], args.n)
-    kernels = args.theta or list(DEFAULT_KERNELS)
-    cfg = SolverConfig(outer_tol=args.tol)
-    lines = []
-    ok = True
-    for psel in selectors:
-        problem = ProblemSpec.from_selector(psel).build()
-        x0 = np.ones(problem.n)
-        for ksel in kernels:
-            rep = continuation_solve(problem, kernel_from_selector(ksel), x0, cfg)
-            if rep.status is not SolveStatus.CONVERGED:
-                ok = False
-            lines.append(
-                f"{problem.name} theta={ksel} status={rep.status.value} "
-                f"OutIter={rep.out_iter} InIter={rep.in_iter} "
-                f"Res={rep.res:.3e} Feas={rep.feas:.3e} time={rep.wall_time:.3f}s"
-            )
+    # the first protocol start is the vector of ones
+    run = BenchRun(
+        problems=tuple(ProblemSpec.from_selector(s) for s in args.problem or ["analytic2d"]),
+        kernels=tuple(args.theta or DEFAULT_KERNELS),
+        starts_per_problem=1,
+        tol=args.tol,
+    )
+    _, detail, all_ok = run_bench(run)
+    lines = [
+        f"{d['problem']} theta={d['kernel']} status={d['status']} "
+        f"OutIter={d['OutIter']} InIter={d['InIter']} "
+        f"Res={d['Res']:.3e} Feas={d['Feas']:.3e} time={d['wall_s']:.3f}s"
+        for d in detail
+    ]
     _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+    return 0 if all_ok else 1
 
 
 def _cmd_bench(args) -> int:
-    selectors = _apply_n(args.problem or list(DEFAULT_SUITE), args.n)
     run = BenchRun(
-        problems=tuple(ProblemSpec.from_selector(s) for s in selectors),
+        problems=tuple(ProblemSpec.from_selector(s) for s in args.problem or DEFAULT_SUITE),
         kernels=tuple(args.theta or DEFAULT_KERNELS),
         starts_per_problem=args.starts,
         rng_seed=args.seed,
@@ -404,8 +382,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    selectors = _apply_n([args.problem], args.n)
-    problem = ProblemSpec.from_selector(selectors[0]).build()
+    problem = ProblemSpec.from_selector(args.problem).build()
     kernels = args.theta or list(DEFAULT_KERNELS)
     cfg = SolverConfig(outer_tol=args.tol)
     lines = run_trace(problem, kernels, np.ones(problem.n), cfg)

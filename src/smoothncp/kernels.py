@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "SmoothnessClass",
     "AnalyticBranch",
     "SmoothingKernel",
     "PhiLambdaParams",
@@ -35,28 +33,19 @@ __all__ = [
 ]
 
 
-class SmoothnessClass(Enum):
-    C2_EVERYWHERE = "C2_everywhere"
-    PIECEWISE_C2 = "piecewise_C2"
-
-
 def _piecewise(t, in_main, main_fn, other_fn):
     """Evaluate main_fn where in_main(t) holds and other_fn elsewhere.
 
-    Accepts scalars or arrays and preserves the input kind.
+    Accepts scalars or arrays and preserves the input kind.  Both pieces
+    are evaluated on every entry, so the warnings of each piece outside
+    its own domain are silenced.  A scalar is evaluated as a 1-element
+    array: numpy's scalar power can round differently from its array loop.
     """
     arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    m = in_main(flat)
-    if m.any():
-        out[m] = main_fn(flat[m])
-    rest = ~m
-    if rest.any():
-        out[rest] = other_fn(flat[rest])
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    u = np.atleast_1d(arr)
+    with np.errstate(all="ignore"):
+        out = np.where(in_main(u), main_fn(u), other_fn(u))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _require_positive(y, name):
@@ -66,11 +55,17 @@ def _require_positive(y, name):
     return arr
 
 
-def _require_finite_min(lo):
+def _all_finite(v):
+    """Whether every entry of v is finite."""
     # the sum of squares is NaN or inf when an entry is, and costs half of
-    # isfinite(lo).all(); it also overflows above 1e154, so a non-finite sum
-    # only sends lo to the entrywise check
-    if not math.isfinite(np.vdot(lo, lo)) and not np.isfinite(lo).all():
+    # isfinite(v).all(); it also overflows above 1e154, so a non-finite sum
+    # only sends v to the entrywise check (np.vdot, unlike v @ v, gives no
+    # overflow warning)
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+
+
+def _require_finite_min(lo):
+    if not _all_finite(lo):
         raise FloatingPointError("soft-min of NaN, -inf or two +inf arguments")
 
 
@@ -134,10 +129,6 @@ class AnalyticBranch:
 class SmoothingKernel:
     """Increasing theta with theta(0) = 0, theta(+inf) = 1, and psi = 1 - theta.
 
-    theta_dominates_reference records whether theta(t) >= t/(t+1) holds on a
-    log grid of positive arguments; the residual bound x_i * F_i <= r^2 at
-    roots of the smoothed system is only guaranteed for such kernels.
-
     softmin_override / softmin_partials_override are numerically stable
     closed forms for the induced soft-min and its partial derivatives.  The
     rational kernel and the exponential family ship them; the phi_lambda
@@ -151,9 +142,7 @@ class SmoothingKernel:
     dpsi: Callable = field(repr=False)
     d2psi: Callable = field(repr=False)
     psi_inv: Callable = field(repr=False)
-    smoothness_class: SmoothnessClass = SmoothnessClass.C2_EVERYWHERE
     analytic: AnalyticBranch | None = field(default=None, repr=False)
-    theta_dominates_reference: bool = False
     softmin_override: Callable | None = field(default=None, repr=False)
     softmin_partials_override: Callable | None = field(default=None, repr=False)
 
@@ -178,16 +167,6 @@ class PhiLambdaParams:
             raise ValueError("phi_lambda requires c1 > 0")
         if not self.d > 0.0:
             raise ValueError("phi_lambda requires d > 0")
-
-
-_REFERENCE_GRID = np.logspace(-8.0, 8.0, 16 * 64 + 1)
-
-
-def _dominates_reference(theta):
-    """Exact check theta(t) >= t/(t+1) on a log grid of positive t."""
-    vals = theta(_REFERENCE_GRID)
-    ref = _REFERENCE_GRID / (_REFERENCE_GRID + 1.0)
-    return bool(np.all(vals >= ref))
 
 
 def make_rational() -> SmoothingKernel:
@@ -375,9 +354,7 @@ def make_rational() -> SmoothingKernel:
         dpsi=dpsi,
         d2psi=d2psi,
         psi_inv=psi_inv,
-        smoothness_class=SmoothnessClass.PIECEWISE_C2,
         analytic=analytic,
-        theta_dominates_reference=_dominates_reference(theta),
         softmin_override=softmin,
         softmin_partials_override=softmin_partials,
     )
@@ -434,9 +411,7 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
         dpsi=dpsi,
         d2psi=d2psi,
         psi_inv=psi_inv,
-        smoothness_class=SmoothnessClass.C2_EVERYWHERE,
         analytic=analytic,
-        theta_dominates_reference=_dominates_reference(theta),
         softmin_override=softmin,
         softmin_partials_override=softmin_partials,
     )
@@ -542,9 +517,7 @@ def make_phi_lambda(params: PhiLambdaParams) -> SmoothingKernel:
         dpsi=dpsi,
         d2psi=d2psi,
         psi_inv=psi_inv,
-        smoothness_class=SmoothnessClass.PIECEWISE_C2,
         analytic=analytic,
-        theta_dominates_reference=_dominates_reference(theta),
     )
 
 

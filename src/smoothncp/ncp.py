@@ -234,7 +234,7 @@ def p_sample_test_hr(
 
 @dataclass(frozen=True)
 class ErrorModulus:
-    """Monotonicity modulus h with inverse, valid on [0, epsilon) / [0, eta).
+    """Monotonicity modulus h with its inverse h_inv, valid on [0, eta).
 
     Models the assumption h(||x - y||) <= <x - y, F(x) - F(y)> near the
     solution, which converts the residual bound n * r^2 into the error bound
@@ -243,7 +243,6 @@ class ErrorModulus:
 
     h: Callable = field(repr=False)
     h_inv: Callable = field(repr=False)
-    epsilon: float = math.inf
     eta: float = math.inf
 
 

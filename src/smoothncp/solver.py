@@ -2,17 +2,17 @@
 
 The outer schedule is fixed: r starts at max(1, sqrt(Res(x0))), each
 inner solve appends a trace point, and r contracts by
-max(r_floor, min(0.1 r, r^2, sqrt(Res))) until Res <= outer_tol.  The
-inner solver is damped Newton on the squared residual merit.  Its steps
-use dense LU, or an O(n) tridiagonal elimination when the problem
-declares a tridiagonal Jacobian.  A level only has to follow the
-smoothing path, not to solve H_r = 0 exactly: once its line search has to
-cut a step below STALL_ALPHA it hands over to the next r without taking
-that step (InnerStatus.STALLED).  A level that stalls or whose line search
-fails is projected onto the nonnegative orthant before it hands over; the
-iterates of other levels are never projected.  A run converges when
-Res <= outer_tol and Feas <= sqrt(outer_tol): a projected point can have
-Res = 0 and still violate F >= 0.
+max(R_FLOOR, min(0.1 r, r^2, sqrt(Res))) until Res <= outer_tol, the
+sqrt(Res) term left out at Res = 0.  The inner solver is damped Newton on
+the squared residual merit.  Its steps use dense LU, or an O(n)
+tridiagonal elimination when the problem declares a tridiagonal
+Jacobian.  Its Armijo line search tries the step lengths 1, 1/2, ...,
+STALL_ALPHA.  A level only has to follow the smoothing path, not to solve
+H_r = 0 exactly: when all of them fail it hands over to the next r
+without taking a step (InnerStatus.STALLED), projected onto the
+nonnegative orthant; the iterates of other levels are never projected.
+A run converges when Res <= outer_tol and Feas <= sqrt(outer_tol): a
+projected point can have Res = 0 and still violate F >= 0.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import SmoothingKernel
+from .kernels import SmoothingKernel, _all_finite
 from .ncp import EvaluationError, NcpProblem, feas_metric, res_metric
 from .smoothing import EvalCounter, _newton_matrix, g_r, g_r_partials
 
@@ -41,10 +41,15 @@ __all__ = [
     "continuation_solve",
 ]
 
+# Armijo acceptance m(x + a d) <= (1 - 2 ARMIJO_SIGMA a) m(x).
+ARMIJO_SIGMA = 1e-4
 # An inner solve is stalled once its line search needs a step shorter than
 # STALL_ALPHA: the level then costs many F evaluations per step and makes
 # little progress, and the next r serves the path better.
 STALL_ALPHA = 2.0 ** -6
+_STEP_LENGTHS = tuple(2.0 ** -k for k in range(7))  # 1, 1/2, ..., STALL_ALPHA
+# the smallest r of the schedule
+R_FLOOR = 1e-16
 
 
 class SolveStatus(str, Enum):
@@ -57,7 +62,6 @@ class SolveStatus(str, Enum):
 class InnerStatus(str, Enum):
     SUCCESS = "success"
     MAX_ITERATIONS = "max_iterations"
-    LINE_SEARCH_FAILED = "line_search_failed"
     SINGULAR_JACOBIAN = "singular_jacobian"
     STALLED = "stalled"
 
@@ -70,24 +74,16 @@ class SolverConfig:
     inner_tol: float = 1e-10
     max_outer: int = 50
     max_inner: int = 200
-    armijo_sigma: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 50
-    r_floor: float = 1e-16
 
     def __post_init__(self):
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_sigma < 0.5:
-            raise ValueError("armijo_sigma must lie in (0, 1/2)")
-        for name in ("outer_tol", "inner_tol", "r_floor"):
+        for name in ("outer_tol", "inner_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("max_outer", "max_inner", "max_backtracks"):
+        for name in ("max_outer", "max_inner"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not self.outer_tol > self.r_floor ** 2:
-            raise ValueError("outer_tol must exceed r_floor squared")
+        if not self.outer_tol > R_FLOOR ** 2:
+            raise ValueError("outer_tol must exceed R_FLOOR squared")
 
 
 @dataclass(frozen=True)
@@ -142,17 +138,23 @@ class InnerResult:
     residual_inf: float
 
 
-def r_init(x0, fx0) -> float:
-    """Initial smoothing level max(1, sqrt(Res(x0)))."""
-    return max(1.0, math.sqrt(res_metric(x0, fx0)))
+def r_init(res: float) -> float:
+    """Initial smoothing level max(1, sqrt(Res)) for the Res of the start."""
+    return max(1.0, math.sqrt(res))
 
 
-def r_update(r: float, x, fx, r_floor: float = 1e-16) -> float:
-    """Next smoothing level max(r_floor, min(0.1 r, r^2, sqrt(Res(x))))."""
+def r_update(r: float, res: float) -> float:
+    """Next smoothing level max(R_FLOOR, min(0.1 r, r^2, sqrt(Res))).
+
+    At Res = 0 (a projected point with every x_i F_i = 0) the sqrt(Res)
+    term is left out, so that r does not drop to R_FLOOR in one level.
+    """
     if not r > 0.0:
         raise ValueError("r must be positive")
-    res = res_metric(x, fx)
-    return max(r_floor, min(0.1 * r, r * r, math.sqrt(res)))
+    r_new = min(0.1 * r, r * r)
+    if res > 0.0:
+        r_new = min(r_new, math.sqrt(res))
+    return max(R_FLOOR, r_new)
 
 
 def solve_tridiagonal(dl, d, du, b):
@@ -196,12 +198,7 @@ def solve_tridiagonal(dl, d, du, b):
 
 
 def _finite(d):
-    # the sum of squares is NaN or inf when an entry is; it also overflows
-    # above 1e154, so only a non-finite sum sends d to the entrywise check
-    # (np.vdot, unlike d @ d, gives no overflow warning)
-    if d is None or not (math.isfinite(np.vdot(d, d)) or np.isfinite(d).all()):
-        return None
-    return d
+    return d if d is not None and _all_finite(d) else None
 
 
 def _solve_dense(jac_h, h):
@@ -251,12 +248,11 @@ def newton_inner(
     """Damped Newton iteration on the smoothed residual at fixed r.
 
     Merit m(x) = 0.5 ||H_r(x)||^2 with Armijo acceptance
-    m(x + a d) <= (1 - 2 sigma a) m(x).  Trial points where F or the
-    composition is undefined count as merit +inf and shorten the step;
-    evaluation errors at the starting point propagate.  The solve ends
-    STALLED, keeping the last accepted iterate, as soon as a step would need
-    a < STALL_ALPHA, and LINE_SEARCH_FAILED when max_backtracks runs out
-    first.
+    m(x + a d) <= (1 - 2 ARMIJO_SIGMA a) m(x) for a = 1, 1/2, ...,
+    STALL_ALPHA.  Trial points where F or the composition is undefined
+    count as merit +inf and shorten the step; evaluation errors at the
+    starting point propagate.  The solve ends STALLED, keeping the last
+    accepted iterate, when every step length fails.
     Passing fx0 (the value of F at x0) skips the initial F evaluation.
     """
     if cfg is None:
@@ -296,10 +292,7 @@ def newton_inner(
         d = _newton_step(jf, d1, d2, h, problem.tridiagonal)
         if d is None:
             return result(InnerStatus.SINGULAR_JACOBIAN)
-        alpha = 1.0
-        for _ in range(cfg.max_backtracks + 1):
-            if alpha < STALL_ALPHA:
-                return result(InnerStatus.STALLED)
+        for alpha in _STEP_LENGTHS:
             trial = x + alpha * d
             try:
                 fx_t = problem.F(trial, counter)
@@ -309,20 +302,15 @@ def newton_inner(
                 merit_t = math.inf
             # strict inequality keeps every accepted step a real decrease
             # even when the Armijo bound rounds to merit itself
-            if merit_t < merit and merit_t <= (1.0 - 2.0 * cfg.armijo_sigma * alpha) * merit:
+            if merit_t < merit and merit_t <= (1.0 - 2.0 * ARMIJO_SIGMA * alpha) * merit:
                 break
-            alpha *= cfg.backtrack_factor
         else:
-            return result(InnerStatus.LINE_SEARCH_FAILED)
+            return result(InnerStatus.STALLED)
         x, fx, h, merit = trial, fx_t, h_t, merit_t
         hinf = float(np.abs(h).max())
         merits.append(merit)
         iters += 1
     return result(InnerStatus.SUCCESS)
-
-
-# inner exits whose iterate is projected onto x >= 0 before it hands over
-_PROJECTED = (InnerStatus.LINE_SEARCH_FAILED, InnerStatus.STALLED)
 
 
 def continuation_solve(
@@ -336,8 +324,8 @@ def continuation_solve(
     Inner solves that stall or exhaust their budgets hand their best iterate
     to the next, smaller r: at large r the smoothed system may have no
     root at all, so a merit stall there is expected, not fatal.  When the
-    line search failed or stalled, negative entries of that iterate are set
-    to zero first, and F, Res and Feas are evaluated at the projected point:
+    level stalled, negative entries of that iterate are set to zero first,
+    and F, Res and Feas are evaluated at the projected point:
     this moves the iterate off non-root stationary points of the merit in
     the infeasible region.  A hard inner breakdown (singular linearization)
     retries once at the geometric mean of the failed and the previous r,
@@ -375,10 +363,10 @@ def continuation_solve(
     except EvaluationError:
         trace.append(TracePoint(0, math.inf, x.copy(), math.inf, math.inf, 0, None))
         return report(SolveStatus.EVALUATION_ERROR, math.inf, math.inf)
-    r = r_init(x, fx)
-    prev_r = None
     res = res_metric(x, fx)
     feas = feas_metric(x, fx)
+    r = r_init(res)
+    prev_r = None
     for k in range(cfg.max_outer):
         try:
             inner = newton_inner(problem, kernel, r, x, cfg, counter, fx0=fx)
@@ -394,7 +382,7 @@ def continuation_solve(
             trace.append(TracePoint(k, r, x.copy(), res, feas, 0, None))
             return report(SolveStatus.INNER_FAILURE, res, feas)
         x, fx = inner.x, inner.fx
-        if inner.status in _PROJECTED and (x < 0.0).any():
+        if inner.status is InnerStatus.STALLED and (x < 0.0).any():
             x = np.maximum(x, 0.0)
             try:
                 fx = problem.F(x, counter)
@@ -410,7 +398,7 @@ def continuation_solve(
         if res <= cfg.outer_tol and feas <= feas_tol:
             return report(SolveStatus.CONVERGED, res, feas)
         prev_r = r
-        r_new = r_update(r, x, fx, cfg.r_floor)
+        r_new = r_update(r, res)
         if r_new >= r:
             # pinned at the floor, the schedule cannot contract further
             break

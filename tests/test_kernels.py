@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothncp import (
-    SmoothnessClass,
     check_Ha,
     kernel_from_selector,
     make_exponential,
@@ -39,9 +38,7 @@ def test_exponential_point_values(exponential):
     assert exponential.psi_inv(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
-def test_smoothness_markers(rational, exponential):
-    assert rational.smoothness_class is SmoothnessClass.PIECEWISE_C2
-    assert exponential.smoothness_class is SmoothnessClass.C2_EVERYWHERE
+def test_smoothness_markers(rational):
     # right second derivative at the rational kink
     assert rational.d2psi(0.0) == 2.0
     assert rational.d2psi(-1e-9) == 0.0
@@ -90,7 +87,9 @@ DOMINANCE = {
 
 @pytest.mark.parametrize("selector,expected", sorted(DOMINANCE.items()))
 def test_dominance_flags(selector, expected):
-    assert kernel_from_selector(selector).theta_dominates_reference is expected
+    grid = np.logspace(-8.0, 8.0, 16 * 64 + 1)
+    theta = kernel_from_selector(selector).theta(grid)
+    assert bool(np.all(theta >= grid / (grid + 1.0))) is expected
 
 
 def test_phi_lambda_2_matches_rational(rational):

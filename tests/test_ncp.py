@@ -217,8 +217,7 @@ def test_modulus_validation():
 
 
 def test_error_bound_respects_modulus_range():
-    capped = ErrorModulus(
-        h=lambda u: u, h_inv=lambda v: v, epsilon=1e-3, eta=1e-6)
+    capped = ErrorModulus(h=lambda u: u, h_inv=lambda v: v, eta=1e-6)
     with pytest.raises(ValueError, match="outside the modulus range"):
         error_bound(capped, 2, 1e-3)
     assert error_bound(capped, 2, 1e-4) == pytest.approx(2e-8)

@@ -67,23 +67,23 @@ def nan_jacobian_problem():
 def test_config_defaults():
     cfg = SolverConfig()
     assert (cfg.outer_tol, cfg.inner_tol) == (1e-8, 1e-10)
-    assert (cfg.max_outer, cfg.max_inner, cfg.max_backtracks) == (50, 200, 50)
-    assert cfg.r_floor == 1e-16
+    assert (cfg.max_outer, cfg.max_inner) == (50, 200)
+    assert solver_module.R_FLOOR == 1e-16
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"backtrack_factor": 0.0},
-        {"backtrack_factor": 1.0},
-        {"armijo_sigma": 0.5},
-        {"armijo_sigma": 0.0},
         {"outer_tol": 0.0},
+        {"outer_tol": -1.0},
+        {"outer_tol": math.nan},
+        {"outer_tol": solver_module.R_FLOOR ** 2},
         {"inner_tol": -1e-10},
-        {"r_floor": 0.0},
+        {"inner_tol": 0.0},
+        {"inner_tol": math.nan},
         {"max_outer": 0},
         {"max_inner": 0},
-        {"max_backtracks": 0},
+        {"max_inner": -1},
         {"outer_tol": 1e-33},
     ],
 )
@@ -97,18 +97,20 @@ def test_config_validation(kwargs):
 
 def test_r_init_examples(analytic2d_problem):
     x = np.ones(2)
-    assert r_init(x, analytic2d_problem.eval_F(x)) == 1.0
-    assert r_init([3.0], [3.0]) == 3.0
-    assert r_init([0.5], [0.5]) == 1.0
+    assert r_init(res_metric(x, analytic2d_problem.eval_F(x))) == 1.0
+    assert r_init(9.0) == 3.0
+    assert r_init(0.25) == 1.0
 
 
 def test_r_update_examples():
-    assert r_update(1.0, [1.0], [1e-4]) == 0.01
-    assert r_update(0.01, [1.0], [1e-9]) == 3.1622776601683795e-05
-    assert r_update(0.5, [0.0], [5.0]) == 1e-16
-    assert r_update(0.5, [0.0], [5.0], r_floor=1e-12) == 1e-12
+    assert r_update(1.0, 1e-4) == 0.01
+    assert r_update(0.01, 1e-9) == 3.1622776601683795e-05
+    assert r_update(1e-10, 1e-40) == 1e-16
+    # Res = 0 drops the sqrt(Res) term: min(0.1 r, r^2)
+    assert r_update(0.5, 0.0) == 0.05
+    assert r_update(0.05, 0.0) == 0.05 * 0.05
     with pytest.raises(ValueError):
-        r_update(0.0, [1.0], [1.0])
+        r_update(0.0, 1.0)
 
 
 # --- inner solver --------------------------------------------------------------
@@ -187,9 +189,6 @@ def test_inner_stalls_on_short_steps(kernel):
     assert budget.x.tobytes() == res.x.tobytes()
     assert counter.f_evals - before.f_evals == 7
     assert 0.5 ** 6 == solver_module.STALL_ALPHA
-    # a search whose backtracks run out before STALL_ALPHA fails instead
-    short = newton_inner(bowl(), kernel, 0.01, np.array([5.3]), SolverConfig(max_backtracks=3))
-    assert short.status is InnerStatus.LINE_SEARCH_FAILED
 
 
 def test_finite_step_check():
@@ -272,9 +271,6 @@ def canned(status):
     )
 
 
-PROJECTED = (InnerStatus.LINE_SEARCH_FAILED, InnerStatus.STALLED)
-
-
 @pytest.mark.parametrize(
     "status", [s for s in InnerStatus if s is not InnerStatus.SINGULAR_JACOBIAN])
 def test_continuation_projects_only_failed_and_stalled_levels(exponential, monkeypatch, status):
@@ -288,12 +284,12 @@ def test_continuation_projects_only_failed_and_stalled_levels(exponential, monke
     calls = spy_inner(monkeypatch, canned(status))
     rep = continuation_solve(shifted, exponential, np.ones(2), SolverConfig(max_outer=2))
     assert rep.status is SolveStatus.MAX_OUTER_EXCEEDED
-    handed = [0.0, 2.0] if status in PROJECTED else [-1.0, 2.0]
+    handed = [0.0, 2.0] if status is InnerStatus.STALLED else [-1.0, 2.0]
     assert np.array_equal(calls[1][0], handed)
     assert rep.trace[0].inner_status is status
     assert np.array_equal(rep.trace[0].x, handed)
     # F(x0), then F at each projected point, counted
-    assert rep.f_evals == len(f_calls) == (3 if status in PROJECTED else 1)
+    assert rep.f_evals == len(f_calls) == (3 if status is InnerStatus.STALLED else 1)
     # the report ends after a projection: its Res and Feas are those of x_final
     assert np.array_equal(rep.x_final, handed)
     fx = np.array(handed) - 1.0
@@ -307,12 +303,12 @@ def test_continuation_projection_evaluation_error(exponential, monkeypatch):
         return x - 1.0
 
     holes = NcpProblem(name="holes", n=2, eval_F=eval_F, eval_JF=lambda x: np.eye(2))
-    spy_inner(monkeypatch, canned(InnerStatus.LINE_SEARCH_FAILED))
+    spy_inner(monkeypatch, canned(InnerStatus.STALLED))
     rep = continuation_solve(holes, exponential, np.ones(2))
     assert rep.status is SolveStatus.EVALUATION_ERROR
     assert math.isinf(rep.res) and math.isinf(rep.feas)
     assert np.array_equal(rep.x_final, [0.0, 2.0])
-    assert rep.trace[-1].inner_status is InnerStatus.LINE_SEARCH_FAILED
+    assert rep.trace[-1].inner_status is InnerStatus.STALLED
     # F(x0), then the F call that raised at the projected point
     assert rep.f_evals == 2
 
@@ -339,6 +335,18 @@ def test_analytic2d_projected_stall_start_converges(exponential, analytic2d_prob
     assert (rep.trace[0].res, rep.trace[0].feas) == (0.0, 2.0)
     assert rep.status is SolveStatus.CONVERGED
     assert rep.res <= 1e-8 and rep.feas <= 1e-4
+
+
+def test_zero_res_level_contracts_r_by_the_schedule(exponential, analytic2d_problem):
+    # the first two levels stall at (0, 0), where Res = 0: r must keep
+    # contracting by 0.1, not drop to R_FLOOR through sqrt(Res) = 0
+    x0 = generate_starts(2, 30, seed=1752995437)[28]
+    rep = continuation_solve(analytic2d_problem, exponential, x0)
+    rs = [tp.r for tp in rep.trace]
+    assert rs[0] == pytest.approx(311.4675215520394)
+    assert rs[1:] == [min(0.1 * a, a * a) for a in rs[:-1]]
+    assert (rep.out_iter, rep.f_evals) == (5, 66)
+    assert rep.status is SolveStatus.CONVERGED
 
 
 # Summed (OutIter, InIter, F evals) over the 33 protocol starts at seed 1 of
@@ -386,7 +394,7 @@ def test_continuation_hands_on_projected_iterates(kernel, ks_problem, monkeypatc
     projected = 0
     for (_, inner), (nxt, _), tp in zip(calls, calls[1:], rep.trace):
         assert tp.inner_status is inner.status
-        if inner.status in PROJECTED:
+        if inner.status is InnerStatus.STALLED:
             projected += (inner.x < 0.0).any()
             assert np.array_equal(nxt, np.maximum(inner.x, 0.0))
         else:
