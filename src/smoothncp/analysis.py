@@ -38,8 +38,8 @@ __all__ = [
 SUBADD_SLACK = 1e-12
 HESSIAN_DET_SLACK = 1e-10
 SPEED_SLACK = 1e-9
-_HESSIAN_BLOCK = 32768  # grid points per block of check_concavity's Hessian route
-_SUBADD_BLOCK = 32768  # pairs per block of check_subadditivity
+_HESSIAN_BLOCK = 8192  # grid points per block of check_concavity's Hessian route
+_SUBADD_BLOCK = 8192  # pairs per block of check_subadditivity
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,11 @@ def check_subadditivity(
     """Check f(a + b) <= f(a) + f(b) + slack for all pairs from the grid.
 
     f must accept numpy arrays and act on them elementwise.  The pairs run
-    in blocks of rows, so that the temporaries stay at a block's size.  The
-    first violation (or NaN defect) in row-major pair order is reported as
-    the witness.
+    in blocks of whole rows, of up to _SUBADD_BLOCK pairs (one row if that
+    is longer), and only each block's maximum is kept.  The memory in use
+    is bounded by the block size, not by the number of pairs.  The first
+    violation (or NaN defect) in row-major pair order is reported as the
+    witness.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -187,6 +189,17 @@ def g_hessian_entries(kernel: SmoothingKernel, s, t):
     return r_entry, t_entry, s_entry
 
 
+def _concavity_grid(grid, name: str) -> np.ndarray:
+    """grid as a float array, if it is 1-d with >= 2 finite positive points."""
+    arr = np.asarray(grid, dtype=float)
+    positive = np.all((0.0 < arr) & (arr < math.inf))
+    if arr.ndim != 1 or arr.size < 2 or not positive:
+        raise ValueError(
+            f"{name} must be a 1-d array of at least two finite positive points"
+        )
+    return arr
+
+
 def check_concavity(
     kernel: SmoothingKernel,
     s_grid: np.ndarray,
@@ -199,22 +212,29 @@ def check_concavity(
     the alpha-grid induced by psi.  The property holds only if both routes
     agree that it does; a disagreement is reported as a violation with the
     failing route in the witness.
+
+    Both routes run in blocks of whole rows, of up to _HESSIAN_BLOCK grid
+    points and _SUBADD_BLOCK alpha pairs (one row if that is longer), and
+    keep only a running worst defect.  The memory in use is bounded by the
+    block sizes, not by the grid size.  The Hessian witness is the first
+    NaN defect in row-major (s, t) order, else the first largest one.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    t_grid = s_grid if t_grid is None else np.asarray(t_grid, dtype=float)
-    if np.any(s_grid <= 0.0) or np.any(t_grid <= 0.0):
-        raise ValueError("concavity grids must be positive")
-    # the Hessian route runs over blocks of s rows, so that its temporaries
-    # stay at a block's size while only the defect grid is kept whole
+    s_grid = _concavity_grid(s_grid, "s_grid")
+    t_grid = s_grid if t_grid is None else _concavity_grid(t_grid, "t_grid")
+    # the Hessian route runs over blocks of s rows and keeps only the worst
+    # defect and its row-major position: the first NaN, else the first max
     rows = max(1, _HESSIAN_BLOCK // t_grid.size)
-    hess_defect = np.empty((s_grid.size, t_grid.size))
+    hess_max, worst = -math.inf, 0
     for i0 in range(0, s_grid.size, rows):
         r_e, t_e, s_e = g_hessian_entries(
             kernel, s_grid[i0:i0 + rows, None], t_grid[None, :]
         )
         det_defect = s_e**2 - r_e * t_e - HESSIAN_DET_SLACK
-        hess_defect[i0:i0 + rows] = np.maximum(np.maximum(r_e, t_e), det_defect)
-    hess_max = float(hess_defect.max())
+        defect = np.maximum(np.maximum(r_e, t_e), det_defect)
+        k = int(np.argmax(defect))
+        d = float(defect.flat[k])
+        if d > hess_max or (math.isnan(d) and not math.isnan(hess_max)):
+            hess_max, worst = d, i0 * t_grid.size + k
     hess_ok = hess_max <= 0.0
 
     alphas = np.sort(np.asarray(kernel.analytic.psi(s_grid), dtype=float))
@@ -245,7 +265,7 @@ def check_concavity(
             details=details,
         )
     if not hess_ok:
-        i, j = np.unravel_index(int(np.argmax(hess_defect)), hess_defect.shape)
+        i, j = divmod(worst, t_grid.size)
         r_e, t_e, s_e = g_hessian_entries(kernel, s_grid[i], t_grid[j])
         witness = {
             "s": float(s_grid[i]),

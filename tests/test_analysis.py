@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,119 @@ def test_concavity_report_does_not_depend_on_hessian_blocks(monkeypatch):
             monkeypatch.setattr(analysis, "_HESSIAN_BLOCK", block)
             assert check_concavity(kernel, grid) == whole
         monkeypatch.undo()
+
+
+def nan_kernel():
+    """tilted_kernel() with an analytic psi'' that is NaN at two s-grid points.
+
+    NaN_POINTS are HESSIAN_S[5] and HESSIAN_S[30], which are not in HESSIAN_T,
+    so the Hessian defect is NaN on those two rows of the (s, t) grid only.
+    """
+    kernel = tilted_kernel()
+    br = kernel.analytic
+
+    def d2psi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.isin(x, NAN_POINTS), np.nan, br.d2psi(x))
+
+    return dataclasses.replace(kernel, analytic=dataclasses.replace(br, d2psi=d2psi))
+
+
+HESSIAN_S = np.geomspace(0.2, 1.2, 40)
+HESSIAN_T = np.geomspace(0.25, 1.1, 33)
+NAN_POINTS = HESSIAN_S[[5, 30]]
+
+
+def hessian_reference(kernel):
+    """Worst Hessian-route defect on the whole HESSIAN_S x HESSIAN_T grid.
+
+    Returns the defect, its (s, t) index as np.argmax gives it (the first
+    NaN in row-major order, else the first largest entry) and the entries
+    (R, T, S) there.
+    """
+    r_e, t_e, s_e = g_hessian_entries(kernel, HESSIAN_S[:, None], HESSIAN_T[None, :])
+    det_defect = s_e**2 - r_e * t_e - analysis.HESSIAN_DET_SLACK
+    defect = np.maximum(np.maximum(r_e, t_e), det_defect)
+    i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    return float(defect.max()), int(i), int(j), (r_e[i, j], t_e[i, j], s_e[i, j])
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1-row", "7-rows"])
+@pytest.mark.parametrize(
+    "make",
+    [tilted_kernel, lambda: kernel_from_selector("phi:3"), nan_kernel],
+    ids=["tilted", "phi:3", "nan"],
+)
+def test_hessian_route_matches_whole_grid(monkeypatch, make, rows):
+    # 7 rows do not divide the 40 s points, so the last block is short
+    if rows is not None:
+        monkeypatch.setattr(analysis, "_HESSIAN_BLOCK", rows * HESSIAN_T.size)
+    kernel = make()
+    rep = check_concavity(kernel, HESSIAN_S, HESSIAN_T)
+    worst, i, j, (r_e, t_e, s_e) = hessian_reference(kernel)
+    l_worst = (rep.details["l_monotonicity_defect"], rep.details["l_subadditivity_defect"])
+    np.testing.assert_equal(rep.max_defect, max(worst, *l_worst))
+    if worst <= 0.0:
+        assert rep.details["hessian_route"] == "holds"
+        return
+    assert rep.details["hessian_route"] == "violated"
+    expected = {
+        "s": HESSIAN_S[i], "t": HESSIAN_T[j], "R": r_e, "T": t_e, "S": s_e,
+        "route": "hessian",
+    }
+    np.testing.assert_equal(rep.witness, expected)
+
+
+def test_hessian_route_first_nan_wins():
+    # the finite defects are positive everywhere, yet the first NaN row wins
+    worst, i, j, _ = hessian_reference(nan_kernel())
+    assert math.isnan(worst) and (i, j) == (5, 0)
+    assert hessian_reference(tilted_kernel())[0] > 0.0
+    assert not np.isin(NAN_POINTS, HESSIAN_T).any()
+
+
+@pytest.mark.parametrize(
+    "s_grid, t_grid",
+    [
+        (np.geomspace(0.1, 10.0, 9), np.array([])),
+        (np.array([]), None),
+        (np.array([1.0]), None),
+        (np.geomspace(0.1, 10.0, 9), np.array([2.0])),
+        (np.geomspace(0.1, 10.0, 9).reshape(3, 3), None),
+        (np.geomspace(0.1, 10.0, 9), np.geomspace(0.1, 10.0, 9).reshape(3, 3)),
+        (np.array([0.5, np.nan, 2.0]), None),
+        (np.geomspace(0.1, 10.0, 9), np.array([0.5, np.nan])),
+        (np.array([0.5, np.inf]), None),
+        (np.array([0.0, 1.0]), None),
+        (np.geomspace(0.1, 10.0, 9), np.array([-1.0, 1.0])),
+    ],
+    ids=[
+        "empty-t", "empty-s", "one-point-s", "one-point-t", "2d-s", "2d-t",
+        "nan-s", "nan-t", "inf-s", "zero-s", "negative-t",
+    ],
+)
+def test_concavity_rejects_bad_grids(s_grid, t_grid):
+    with pytest.raises(ValueError, match="1-d array of at least two finite positive"):
+        check_concavity(kernel_from_selector("phi:3"), s_grid, t_grid)
+
+
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+def test_concavity_memory_is_bounded_by_the_blocks(selector):
+    kernel = kernel_from_selector(selector)
+    grid = np.geomspace(0.1, 10.0, 512)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        check_concavity(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    # a whole 512 x 512 float array alone is 2.1 MB
+    assert peak < 2e6
 
 
 def test_subadditivity_report_does_not_depend_on_blocks(monkeypatch):
