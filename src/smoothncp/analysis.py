@@ -42,6 +42,25 @@ _HESSIAN_BLOCK = 8192  # grid points per block of check_concavity's Hessian rout
 _SUBADD_BLOCK = 8192  # pairs per block of check_subadditivity
 
 
+def _finite_positive(values, name: str, grid: bool = False) -> np.ndarray:
+    """values as a float array, if every entry is finite and positive.
+
+    With grid=True the array must also be 1-d with at least two points.
+    Anything else, NaN included, raises ValueError naming the argument.
+    """
+    arr = np.asarray(values, dtype=float)
+    ok = ((0.0 < arr) & (arr < math.inf)).all()
+    if grid:
+        ok = ok and arr.ndim == 1 and arr.size >= 2
+    if not ok:
+        form = (
+            "a 1-d array of at least two finite positive points" if grid
+            else "finite and positive"
+        )
+        raise ValueError(f"{name} must be {form}")
+    return arr
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Outcome of one property check on one grid.
@@ -83,10 +102,7 @@ def v_function(kernel: SmoothingKernel, y):
 
     Sub-additivity of V is equivalent to g_r(s, t) being non-increasing in r.
     """
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("v_function is defined on the range of psi (y > 0)")
-    s = kernel.psi_inv(arr)
+    s = kernel.psi_inv(_finite_positive(y, "v_function's y"))
     return -kernel.dpsi(s) * s
 
 
@@ -99,10 +115,7 @@ def l_function(kernel: SmoothingKernel, alpha):
     """
     if kernel.analytic is None:
         raise ValueError(f"kernel {kernel.name} has no analytic branch")
-    arr = np.asarray(alpha, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("l_function is defined on the range of psi (alpha > 0)")
-    s = kernel.analytic.psi_inv(arr)
+    s = kernel.analytic.psi_inv(_finite_positive(alpha, "l_function's alpha"))
     dd = np.asarray(kernel.analytic.d2psi(s), dtype=float)
     if np.any(dd <= 0.0):
         raise ValueError("l_function requires psi'' > 0 at psi_inv(alpha)")
@@ -189,17 +202,6 @@ def g_hessian_entries(kernel: SmoothingKernel, s, t):
     return r_entry, t_entry, s_entry
 
 
-def _concavity_grid(grid, name: str) -> np.ndarray:
-    """grid as a float array, if it is 1-d with >= 2 finite positive points."""
-    arr = np.asarray(grid, dtype=float)
-    positive = np.all((0.0 < arr) & (arr < math.inf))
-    if arr.ndim != 1 or arr.size < 2 or not positive:
-        raise ValueError(
-            f"{name} must be a 1-d array of at least two finite positive points"
-        )
-    return arr
-
-
 def check_concavity(
     kernel: SmoothingKernel,
     s_grid: np.ndarray,
@@ -219,8 +221,8 @@ def check_concavity(
     block sizes, not by the grid size.  The Hessian witness is the first
     NaN defect in row-major (s, t) order, else the first largest one.
     """
-    s_grid = _concavity_grid(s_grid, "s_grid")
-    t_grid = s_grid if t_grid is None else _concavity_grid(t_grid, "t_grid")
+    s_grid = _finite_positive(s_grid, "s_grid", grid=True)
+    t_grid = s_grid if t_grid is None else _finite_positive(t_grid, "t_grid", grid=True)
     # the Hessian route runs over blocks of s rows and keeps only the worst
     # defect and its row-major position: the first NaN, else the first max
     rows = max(1, _HESSIAN_BLOCK // t_grid.size)
@@ -298,6 +300,8 @@ def check_concavity(
 
 
 _DEFAULT_PROBE = (1e-6, 1e-7, 1e-8)
+_DEFAULT_PROBE_R = np.array(_DEFAULT_PROBE)
+_DEFAULT_PROBE_R.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -322,15 +326,22 @@ def limit_probe(
 ) -> LimitEstimate:
     """Probe the r -> 0 limit of g_r(s, t) along a decreasing r sequence.
 
-    The whole sequence is evaluated in one call through the homogeneity
+    The default r_seq is the fixed probe r = 1e-6, 1e-7, 1e-8.  Unlike the
+    default sweep of check_speed_bound, r0 times a fixed 25-point sweep
+    from 1 to 1e-6, it does not scale with r0.  The whole sequence is
+    evaluated in one call through the homogeneity
     g_r(s, t) = r * g_1(s/r, t/r).
     """
-    rs = tuple(float(r) for r in (_DEFAULT_PROBE if r_seq is None else r_seq))
-    if not rs or any(r <= 0.0 for r in rs) or any(
-        a <= b for a, b in zip(rs, rs[1:])
-    ):
-        raise ValueError("r_seq must be positive and strictly decreasing")
-    gs = tuple(float(g) for g in _g_sweep(kernel, s, t, np.asarray(rs)))
+    if r_seq is None:
+        rs, r_arr = _DEFAULT_PROBE, _DEFAULT_PROBE_R
+    else:
+        rs = tuple(float(r) for r in r_seq)
+        if not rs or any(r <= 0.0 for r in rs) or any(
+            a <= b for a, b in zip(rs, rs[1:])
+        ):
+            raise ValueError("r_seq must be positive and strictly decreasing")
+        r_arr = np.asarray(rs)
+    gs = tuple(_g_sweep(kernel, s, t, r_arr).tolist())
     if len(rs) >= 2:
         r1, r2 = rs[-2], rs[-1]
         f1, f2 = gs[-2], gs[-1]
@@ -372,6 +383,9 @@ def g_r_deriv_r(kernel: SmoothingKernel, s, t, r: float):
 
 
 _SPEED_SIDES = ("upper", "lower", "derivative")
+# the default r-sweep of check_speed_bound, in units of r0
+_UNIT_SWEEP = np.geomspace(1.0, 1e-6, 25)
+_UNIT_SWEEP.flags.writeable = False
 
 
 def check_speed_bound(
@@ -383,13 +397,20 @@ def check_speed_bound(
 ) -> AnalysisReport:
     """Check the linear envelope of r -> f(r) = g_r(s, t) on (0, r0].
 
-    Verifies, at every r in r_seq (default: geometric sweep below r0), the
-    two-sided bound
+    Verifies, at every r in r_seq, the two-sided bound
 
         f(0) - r * (f(0) - f(r0)) / r0 - slack <= f(r) <= f(0) + slack
 
     and the differential inequality r * f'(r) <= f(r) - f(0) + slack using
-    the closed-form derivative.  f(0) is taken from limit_probe.
+    the closed-form derivative.  f(0) is taken from limit_probe.  The
+    default r_seq is r0 times a fixed 25-point geometric sweep from 1 down
+    to 1e-6: its end points are r0 and r0 * 1e-6 exactly, and at r0 = 1 it
+    is np.geomspace(r0, r0 * 1e-6, 25) bit for bit.  Elsewhere its interior
+    points differ from that by rounding, under 1e-14 relative.
+
+    s, t and r0 must be finite and positive, and the smallest r of the
+    check, in the sweep or in limit_probe, must leave s/r and t/r finite;
+    otherwise ValueError is raised.
 
     The sweep is evaluated at once through the homogeneity
     g_r(s, t) = r * g_1(s/r, t/r): f(r) in one call and f'(r) as
@@ -401,39 +422,43 @@ def check_speed_bound(
     with the side of largest defect (ties go to upper, then lower, then
     derivative).
     """
-    if not (s > 0.0 and t > 0.0):
-        raise ValueError("speed bound check requires s, t > 0")
-    if not r0 > 0.0:
-        raise ValueError("speed bound check requires r0 > 0")
+    s, t, r0 = _finite_positive((s, t, r0), "s, t and r0").tolist()
     if r_seq is None:
-        rs = np.geomspace(r0, r0 * 1e-6, 25)
+        rs = r0 * _UNIT_SWEEP
+        r_min = rs[-1]
     else:
         rs = np.array([float(r) for r in r_seq])
         if not np.all((rs > 0.0) & (rs <= r0)):
             raise ValueError("r_seq must lie in (0, r0]")
+        r_min = rs.min(initial=r0)
+    r_min = min(float(r_min), _DEFAULT_PROBE[-1])
+    if not (r_min > 0.0 and max(s, t) / r_min < math.inf):
+        raise ValueError(
+            "the smallest r of the check must be positive and keep s/r and t/r finite"
+        )
     f0 = limit_probe(kernel, s, t).limit
     fr0 = float(g_r(kernel, s, t, r0))
     fr = _g_sweep(kernel, s, t, rs)
     rdf = rs * g_r_deriv_r(kernel, s / rs, t / rs, 1.0)
-    defects = np.stack([
-        fr - f0 - SPEED_SLACK,
-        f0 - rs * (f0 - fr0) / r0 - fr - SPEED_SLACK,
-        rdf - (fr - f0) - SPEED_SLACK,
-    ])
-    worst = defects.max(axis=0)
+    upper = fr - f0 - SPEED_SLACK
+    lower = f0 - rs * (f0 - fr0) / r0 - fr - SPEED_SLACK
+    derivative = rdf - (fr - f0) - SPEED_SLACK
+    worst = np.maximum(np.maximum(upper, lower), derivative)
     max_defect = float(worst.max(initial=-math.inf))
     desc = f"s={s:g}, t={t:g}, r0={r0:g}, {rs.size} r values"
-    violated = np.flatnonzero(worst > 0.0)
-    if violated.size == 0:
+    # a NaN max_defect takes the scan below: a NaN defect hides no violation
+    violated = () if max_defect <= 0.0 else np.flatnonzero(worst > 0.0)
+    if len(violated) == 0:
         return AnalysisReport(
             property="speed_bound", grid=desc, outcome="holds", max_defect=max_defect
         )
     k = int(violated[0])
+    sides = (upper[k], lower[k], derivative[k])
     witness = {
         "r": float(rs[k]),
         "f(r)": float(fr[k]),
         "f(0)": f0,
-        "side": _SPEED_SIDES[int(np.argmax(defects[:, k]))],
+        "side": _SPEED_SIDES[int(np.argmax(sides))],
     }
     return AnalysisReport(
         property="speed_bound",

@@ -124,6 +124,18 @@ def test_l_closed_form_laws(rational, exponential):
     assert np.abs(l_function(phi3, alpha) + alpha / 3.0).max() <= 1e-9
 
 
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+@pytest.mark.parametrize(
+    "arg", [[math.nan, 1.0], [math.inf], [-1.0]], ids=["nan", "inf", "negative"]
+)
+def test_v_and_l_reject_points_outside_the_range_of_psi(selector, arg):
+    kernel = kernel_from_selector(selector)
+    with pytest.raises(ValueError, match="v_function's y must be finite and positive"):
+        v_function(kernel, arg)
+    with pytest.raises(ValueError, match="l_function's alpha must be finite and positive"):
+        l_function(kernel, arg)
+
+
 # --- soft-min Hessian ------------------------------------------------------------
 
 
@@ -502,6 +514,71 @@ def test_speed_bound_witness_derivative():
     assert rep.outcome == "violated"
     assert rep.witness["r"] == 0.1
     assert rep.witness["side"] == "derivative"
+
+
+def test_speed_bound_nan_defect_does_not_hide_a_violation():
+    # NaN where 50 < min(s, t)/r < 500, i.e. at r = 1e-2 for (1, 2); the
+    # limit probe stays clear of the band, and r = 1e-3 overshoots by r
+    def softmin(s, t, r):
+        m = np.minimum(s, t)
+        return np.where((50.0 < m / r) & (m / r < 500.0), math.nan, m + r)
+
+    kernel = _overriding(softmin, _min_partials)
+    rep = check_speed_bound(kernel, 1.0, 2.0, 0.1, (1e-10, 1e-2, 1e-3))
+    assert math.isnan(rep.max_defect)
+    assert rep.outcome == "violated"
+    assert rep.witness["r"] == 1e-3
+    assert rep.witness["side"] == "upper"
+
+
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+def test_speed_bound_default_sweep_is_r0_times_a_fixed_sweep(selector):
+    kernel = kernel_from_selector(selector)
+    unit = np.geomspace(1.0, 1e-6, 25)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        s = float(rng.uniform(0.05, 10.0))
+        t = float(rng.uniform(0.05, 10.0))
+        r0 = float(rng.uniform(1e-3, 1.0))
+        rep = check_speed_bound(kernel, s, t, r0)
+        assert rep == check_speed_bound(kernel, s, t, r0, r0 * unit)
+        # exact end points; numpy's geomspace rounds the interior points
+        # of the old sweep to within about 10 eps of the exact values
+        old_sweep = np.geomspace(r0, r0 * 1e-6, 25)
+        assert (r0 * unit)[0] == r0 and (r0 * unit)[-1] == r0 * 1e-6
+        np.testing.assert_allclose(r0 * unit, old_sweep, rtol=4e-15, atol=0.0)
+        old = check_speed_bound(kernel, s, t, r0, old_sweep)
+        assert rep.outcome == old.outcome
+        assert (rep.witness or {}).get("side") == (old.witness or {}).get("side")
+        assert abs(rep.max_defect - old.max_defect) <= 1e-14
+        assert limit_probe(kernel, s, t) == limit_probe(kernel, s, t, (1e-6, 1e-7, 1e-8))
+
+
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+@pytest.mark.parametrize(
+    "s, t, r0, r_seq, message",
+    [
+        (1.0, math.inf, 0.5, None, "finite and positive"),
+        (math.inf, 1.0, 0.5, None, "finite and positive"),
+        (math.nan, 1.0, 0.5, None, "finite and positive"),
+        (0.0, 1.0, 0.5, None, "finite and positive"),
+        (1.0, 2.0, math.inf, None, "finite and positive"),
+        (1.0, 2.0, -0.5, None, "finite and positive"),
+        # the smallest sweep r, r0 * 1e-6, makes s/r overflow, or is 0
+        (1.0, 2.0, 1e-310, None, "keep s/r and t/r finite"),
+        (1.0, 2.0, 5e-320, None, "keep s/r and t/r finite"),
+        # the limit probe's r = 1e-8 makes s/r overflow
+        (1e301, 2.0, 1.0, None, "keep s/r and t/r finite"),
+        (1.0, 2.0, 0.5, (0.5, 1e-320), "keep s/r and t/r finite"),
+    ],
+    ids=[
+        "inf-t", "inf-s", "nan-s", "zero-s", "inf-r0", "negative-r0",
+        "tiny-r0", "r0-sweep-underflows", "huge-s", "tiny-r-seq",
+    ],
+)
+def test_speed_bound_rejects_bad_inputs(selector, s, t, r0, r_seq, message):
+    with pytest.raises(ValueError, match=message):
+        check_speed_bound(kernel_from_selector(selector), s, t, r0, r_seq)
 
 
 # --- grid helper ------------------------------------------------------------------
