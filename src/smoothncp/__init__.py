@@ -2,30 +2,20 @@
 
 The library replaces the nonsmooth condition min(x_i, F_i(x)) = 0 with a
 one parameter family of smooth equations H_r(x) = 0 built from a kernel
-function, and drives r to zero with a fixed continuation schedule.  See
-the kernels, smoothing, analysis, ncp, problems, solver, and cli modules.
+function, and drives r to zero with a fixed continuation schedule.
+
+`import smoothncp` loads the solver stack: the kernels, smoothing, ncp,
+problems and solver modules.  The analysis module (kernel property checks)
+and the cli module (bench, trace and analyze front ends) load on first use:
+the first access to one of their names, or to the module itself, imports it.
 """
 
-from .analysis import (
-    AnalysisReport,
-    LimitEstimate,
-    check_concavity,
-    check_speed_bound,
-    check_subadditivity,
-    g_hessian_entries,
-    g_r_deriv_r,
-    l_function,
-    limit_probe,
-    log_grid,
-    v_function,
-)
-from .cli import BenchRun, generate_starts, run_bench
+from importlib import import_module
+
 from .kernels import (
     AnalyticBranch,
-    HaReport,
     PhiLambdaParams,
     SmoothingKernel,
-    check_Ha,
     kernel_from_selector,
     make_exponential,
     make_phi_lambda,
@@ -37,8 +27,6 @@ from .ncp import (
     NcpProblem,
     error_bound,
     feas_metric,
-    p0_sample_test,
-    p_sample_test_hr,
     quadratic_modulus,
     res_metric,
 )
@@ -75,6 +63,45 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# the names that load on first use, each with the submodule that defines it
+_LAZY = {
+    "analysis": "analysis",
+    "AnalysisReport": "analysis",
+    "HaReport": "analysis",
+    "LimitEstimate": "analysis",
+    "check_Ha": "analysis",
+    "check_concavity": "analysis",
+    "check_speed_bound": "analysis",
+    "check_subadditivity": "analysis",
+    "g_hessian_entries": "analysis",
+    "g_r_deriv_r": "analysis",
+    "l_function": "analysis",
+    "limit_probe": "analysis",
+    "log_grid": "analysis",
+    "v_function": "analysis",
+    "cli": "cli",
+    "BenchRun": "cli",
+    "generate_starts": "cli",
+    "run_bench": "cli",
+}
+
+
+def __getattr__(name):
+    """Import the submodule behind a name of _LAZY, and keep the name."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "AnalysisReport",
@@ -124,8 +151,6 @@ __all__ = [
     "make_rational",
     "nash_cournot",
     "newton_inner",
-    "p0_sample_test",
-    "p_sample_test_hr",
     "problem_from_selector",
     "quadratic_modulus",
     "r_init",

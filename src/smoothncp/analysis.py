@@ -1,13 +1,15 @@
 """Numerical verification of the structural properties of the soft-min.
 
 This module checks, on explicit grids, the facts the solver relies on:
+the halving condition psi(s) <= psi(a*s)/2 on the kernel's tail,
 monotonicity of g_r in r (via sub-additivity of the V function), concavity of
 the induced soft-min on the positive orthant (via the Hessian entries and,
 independently, via the L function), the r -> 0 limit dichotomy, and the
 linear speed bound for g_r as a function of r.
 
-Every check returns an AnalysisReport with an explicit outcome and, when the
-property fails, a witness point.
+The halving check returns a HaReport; every other check returns an
+AnalysisReport with an explicit outcome and, when the property fails, a
+witness point.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .smoothing import g_r, g_r_partials
 
 __all__ = [
     "AnalysisReport",
+    "HaReport",
     "LimitEstimate",
+    "check_Ha",
     "log_grid",
     "v_function",
     "l_function",
@@ -95,6 +99,56 @@ def log_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
     decades = math.log10(hi / lo)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(lo, hi, n)
+
+
+@dataclass(frozen=True)
+class HaReport:
+    """Result of scanning the halving condition psi(s) <= psi(a*s)/2.
+
+    holds_from is the smallest grid point from which the condition holds at
+    every remaining grid point; violated_at is the largest failing grid point
+    when failures persist into the last decade scanned.  Exactly one of the
+    two is set.
+    """
+
+    kernel: str
+    a: float
+    s_max: float
+    grid_points: int
+    holds_from: float | None = None
+    violated_at: float | None = None
+
+    @property
+    def satisfied(self) -> bool:
+        return self.holds_from is not None
+
+
+def check_Ha(
+    kernel: SmoothingKernel,
+    a: float,
+    s_max: float,
+    decades: int = 6,
+    points_per_decade: int = 64,
+) -> HaReport:
+    """Scan psi(s) <= psi(a*s)/2 on a geometric grid ending at s_max.
+
+    The scan covers `decades` decades below s_max with points_per_decade
+    points each.  Failures inside the last decade are reported as a
+    violation; otherwise the empirical threshold is returned.
+    """
+    if not 0.0 < a < 1.0:
+        raise ValueError("check_Ha requires 0 < a < 1")
+    if not s_max > 0.0:
+        raise ValueError("check_Ha requires s_max > 0")
+    n = decades * points_per_decade + 1
+    grid = np.geomspace(s_max * 10.0 ** (-decades), s_max, n)
+    ok = kernel.psi(grid) <= 0.5 * kernel.psi(a * grid)
+    if bool(ok.all()):
+        return HaReport(kernel.name, a, s_max, n, holds_from=float(grid[0]))
+    last_fail = int(np.flatnonzero(~ok)[-1])
+    if grid[last_fail] > s_max / 10.0:
+        return HaReport(kernel.name, a, s_max, n, violated_at=float(grid[last_fail]))
+    return HaReport(kernel.name, a, s_max, n, holds_from=float(grid[last_fail + 1]))
 
 
 def v_function(kernel: SmoothingKernel, y):
@@ -383,6 +437,14 @@ def g_r_deriv_r(kernel: SmoothingKernel, s, t, r: float):
 
 
 _SPEED_SIDES = ("upper", "lower", "derivative")
+# The scales check_speed_bound supports.  Above _SPEED_MAX the rounding of
+# f(r) passes the absolute SPEED_SLACK (false violations from about 1e5
+# for phi:1.5), and below _SPEED_MIN the limit probe's r = 1e-8 no longer
+# resolves f(0) (from about 3e-6 for exp).  s/r and t/r up to
+# _SPEED_MAX_RATIO keep the power kernels' psi' at (s/r, t/r) far from
+# underflow, which starts near 1e100 for phi:1.5 and 1e200 for phi:3.
+_SPEED_MIN, _SPEED_MAX = 1e-4, 1e4
+_SPEED_MAX_RATIO = 1e16
 # the default r-sweep of check_speed_bound, in units of r0
 _UNIT_SWEEP = np.geomspace(1.0, 1e-6, 25)
 _UNIT_SWEEP.flags.writeable = False
@@ -408,9 +470,11 @@ def check_speed_bound(
     is np.geomspace(r0, r0 * 1e-6, 25) bit for bit.  Elsewhere its interior
     points differ from that by rounding, under 1e-14 relative.
 
-    s, t and r0 must be finite and positive, and the smallest r of the
-    check, in the sweep or in limit_probe, must leave s/r and t/r finite;
-    otherwise ValueError is raised.
+    s, t and r0 must be finite and positive.  The smallest r of the check,
+    in the sweep or in limit_probe, must keep s/r and t/r at most 1e16, and
+    s, t and r0 must lie in the supported scales: s and t in [1e-4, 1e4],
+    r0 at most 1e4.  Otherwise ValueError is raised: outside these scales
+    the verdict can be false or the kernel's arithmetic can fail.
 
     The sweep is evaluated at once through the homogeneity
     g_r(s, t) = r * g_1(s/r, t/r): f(r) in one call and f'(r) as
@@ -432,9 +496,18 @@ def check_speed_bound(
             raise ValueError("r_seq must lie in (0, r0]")
         r_min = rs.min(initial=r0)
     r_min = min(float(r_min), _DEFAULT_PROBE[-1])
-    if not (r_min > 0.0 and max(s, t) / r_min < math.inf):
+    if not (r_min > 0.0 and max(s, t) / r_min <= _SPEED_MAX_RATIO):
         raise ValueError(
-            "the smallest r of the check must be positive and keep s/r and t/r finite"
+            "the smallest r of the check must be positive and keep s/r and t/r "
+            f"finite, at most {_SPEED_MAX_RATIO:g}"
+        )
+    if not (
+        _SPEED_MIN <= s <= _SPEED_MAX and _SPEED_MIN <= t <= _SPEED_MAX
+        and r0 <= _SPEED_MAX
+    ):
+        raise ValueError(
+            f"s and t must lie in [{_SPEED_MIN:g}, {_SPEED_MAX:g}] and r0 must "
+            f"be at most {_SPEED_MAX:g}"
         )
     f0 = limit_probe(kernel, s, t).limit
     fr0 = float(g_r(kernel, s, t, r0))

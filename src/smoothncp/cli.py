@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    check_Ha,
     check_concavity,
     check_speed_bound,
     check_subadditivity,
@@ -25,7 +26,7 @@ from .analysis import (
     log_grid,
     v_function,
 )
-from .kernels import check_Ha, kernel_from_selector
+from .kernels import kernel_from_selector
 from .ncp import EvaluationError, NcpProblem
 from .problems import ProblemSpec
 from .solver import SolverConfig, SolveStatus, continuation_solve

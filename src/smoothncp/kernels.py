@@ -24,11 +24,9 @@ __all__ = [
     "AnalyticBranch",
     "SmoothingKernel",
     "PhiLambdaParams",
-    "HaReport",
     "make_rational",
     "make_exponential",
     "make_phi_lambda",
-    "check_Ha",
     "kernel_from_selector",
 ]
 
@@ -519,56 +517,6 @@ def make_phi_lambda(params: PhiLambdaParams) -> SmoothingKernel:
         psi_inv=psi_inv,
         analytic=analytic,
     )
-
-
-@dataclass(frozen=True)
-class HaReport:
-    """Result of scanning the halving condition psi(s) <= psi(a*s)/2.
-
-    holds_from is the smallest grid point from which the condition holds at
-    every remaining grid point; violated_at is the largest failing grid point
-    when failures persist into the last decade scanned.  Exactly one of the
-    two is set.
-    """
-
-    kernel: str
-    a: float
-    s_max: float
-    grid_points: int
-    holds_from: float | None = None
-    violated_at: float | None = None
-
-    @property
-    def satisfied(self) -> bool:
-        return self.holds_from is not None
-
-
-def check_Ha(
-    kernel: SmoothingKernel,
-    a: float,
-    s_max: float,
-    decades: int = 6,
-    points_per_decade: int = 64,
-) -> HaReport:
-    """Scan psi(s) <= psi(a*s)/2 on a geometric grid ending at s_max.
-
-    The scan covers `decades` decades below s_max with points_per_decade
-    points each.  Failures inside the last decade are reported as a
-    violation; otherwise the empirical threshold is returned.
-    """
-    if not 0.0 < a < 1.0:
-        raise ValueError("check_Ha requires 0 < a < 1")
-    if not s_max > 0.0:
-        raise ValueError("check_Ha requires s_max > 0")
-    n = decades * points_per_decade + 1
-    grid = np.geomspace(s_max * 10.0 ** (-decades), s_max, n)
-    ok = kernel.psi(grid) <= 0.5 * kernel.psi(a * grid)
-    if bool(ok.all()):
-        return HaReport(kernel.name, a, s_max, n, holds_from=float(grid[0]))
-    last_fail = int(np.flatnonzero(~ok)[-1])
-    if grid[last_fail] > s_max / 10.0:
-        return HaReport(kernel.name, a, s_max, n, violated_at=float(grid[last_fail]))
-    return HaReport(kernel.name, a, s_max, n, holds_from=float(grid[last_fail + 1]))
 
 
 def kernel_from_selector(selector: str) -> SmoothingKernel:

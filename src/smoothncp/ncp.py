@@ -1,4 +1,4 @@
-"""Problem abstraction, residual metrics, and sampled P-function tests.
+"""Problem abstraction, residual metrics, and error moduli.
 
 A complementarity problem asks for x >= 0 with F(x) >= 0 and x_i F_i(x) = 0
 per component.  Progress is measured by two metrics: Res(x), the worst
@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import AnalysisReport
-from .smoothing import EvalCounter, fd_jacobian, h_r
+from .smoothing import EvalCounter, fd_jacobian
 
 __all__ = [
     "EvaluationError",
@@ -24,12 +23,9 @@ __all__ = [
     "quadratic_modulus",
     "res_metric",
     "feas_metric",
-    "p0_sample_test",
-    "p_sample_test_hr",
     "error_bound",
 ]
 
-P0_SLACK = 1e-12
 SOLUTION_TOL = 1e-8
 
 
@@ -160,76 +156,6 @@ class NcpProblem:
         if bands.shape != (3, self.n):
             raise ValueError(f"Jacobian bands have shape {bands.shape}, expected (3, {self.n})")
         return bands
-
-
-def _sample_pairs(problem: NcpProblem, pair_count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    lo = problem.sample_box[:, 0]
-    hi = problem.sample_box[:, 1]
-    shape = (pair_count, 2, problem.n)
-    return lo + (hi - lo) * rng.uniform(size=shape)
-
-
-def _p_sample_report(problem, map_fn, pair_count, seed, strict, prop, extra):
-    draws = _sample_pairs(problem, pair_count, seed)
-    max_defect = -math.inf
-    witness = None
-    threshold = 0.0 if strict else -P0_SLACK
-    for k in range(pair_count):
-        x, y = draws[k, 0], draws[k, 1]
-        diff = x - y
-        active = diff != 0.0
-        if not active.any():
-            continue
-        gap = np.asarray(map_fn(x), dtype=float) - np.asarray(map_fn(y), dtype=float)
-        m = float(np.max(diff[active] * gap[active]))
-        defect = (threshold - m) if strict else (-m - P0_SLACK)
-        violated = (m <= threshold) if strict else (m < -P0_SLACK)
-        if defect > max_defect:
-            max_defect = defect
-        if violated and witness is None:
-            witness = {"pair": k, "x": x.tolist(), "y": y.tolist(), "value": m}
-    desc = f"{pair_count} pairs from sample box, seed {seed}{extra}"
-    if witness is None:
-        return AnalysisReport(
-            property=prop, grid=desc, outcome="holds", max_defect=max_defect
-        )
-    return AnalysisReport(
-        property=prop, grid=desc, outcome="violated",
-        max_defect=max_defect, witness=witness,
-    )
-
-
-def p0_sample_test(problem: NcpProblem, pair_count: int = 200, seed: int = 0):
-    """Sampled P0 check: max over differing components of (x-y)_i (F(x)-F(y))_i
-    must not fall below -1e-12 on any drawn pair."""
-    return _p_sample_report(
-        problem, lambda z: problem.F(z), pair_count, seed,
-        strict=False, prop="p0_sampled", extra="",
-    )
-
-
-def p_sample_test_hr(
-    problem: NcpProblem,
-    kernel,
-    r: float,
-    pair_count: int = 200,
-    seed: int = 0,
-):
-    """Sampled strict-P check for the smoothed map x -> H_r(x).
-
-    For P0 problems the smoothed map is a P-function for every r > 0, so the
-    componentwise criterion must be strictly positive on every sampled pair.
-    """
-    return _p_sample_report(
-        problem,
-        lambda z: h_r(problem, kernel, z, r),
-        pair_count,
-        seed,
-        strict=True,
-        prop="p_sampled_hr",
-        extra=f", r={r:g}",
-    )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -579,6 +580,65 @@ def test_speed_bound_default_sweep_is_r0_times_a_fixed_sweep(selector):
 def test_speed_bound_rejects_bad_inputs(selector, s, t, r0, r_seq, message):
     with pytest.raises(ValueError, match=message):
         check_speed_bound(kernel_from_selector(selector), s, t, r0, r_seq)
+
+
+# Outside the supported scales the check failed in the kernel's arithmetic or
+# gave a false verdict: phi:3 raised ArithmeticError ("psi' vanished") at
+# (1, 2, 1e-290) and (1e299, 1e299, 1); r0 = 1e300 warned of overflow for
+# every kernel, as rational did at (1e300, 1e300, 1); and each kernel reported
+# false violations, exp at (1e300, 1e300, 1) with max_defect 1.5e284 and all
+# three at (1e8, 1e8, 1) and (1e-8, 2e-8, 5e-9).
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+@pytest.mark.parametrize(
+    "s, t, r0, r_seq, message",
+    [
+        (1.0, 2.0, 1e-290, None, "keep s/r and t/r finite"),
+        (1e299, 1e299, 1.0, None, "keep s/r and t/r finite"),
+        (1e300, 1e300, 1.0, None, "keep s/r and t/r finite"),
+        (1.0, 2.0, 1e-11, None, "keep s/r and t/r finite"),
+        (1.0, 2.0, 0.5, (0.5, 1e-17), "keep s/r and t/r finite"),
+        (1.0, 2.0, 1e300, None, "r0 must be at most"),
+        (1.0, 2.0, 1e8, None, "r0 must be at most"),
+        (1e8, 1e8, 1.0, None, "s and t must lie in"),
+        (1e7, 2e7, 0.5, None, "s and t must lie in"),
+        (1e-8, 2e-8, 5e-9, None, "s and t must lie in"),
+        (1e-7, 2e-7, 5e-8, None, "s and t must lie in"),
+        (1.0, 2e-5, 1.0, None, "s and t must lie in"),
+    ],
+    ids=[
+        "tiny-r0", "huge-s-t", "huge-s-t-exp", "ratio-over-1e16", "r-seq-ratio",
+        "huge-r0", "large-r0", "large-s-t", "large-s-t-uneven", "tiny-s-t",
+        "small-s-t", "small-t",
+    ],
+)
+def test_speed_bound_rejects_unsupported_scales(selector, s, t, r0, r_seq, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            check_speed_bound(kernel_from_selector(selector), s, t, r0, r_seq)
+
+
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS + ["phi:1.5", "phi:2"])
+def test_speed_bound_holds_across_the_supported_scales(selector):
+    # the corners of the supported box, then log-uniform draws inside it;
+    # r0 reaches down to where the sweep's s/r and t/r are 1e15
+    kernel = kernel_from_selector(selector)
+    cases = [
+        (s, t, r0)
+        for s in (1e-4, 1.0, 1e4)
+        for t in (1e-4, 1.0, 1e4)
+        for r0 in (max(s, t) * 1e-9, 1e-3, 1.0, 1e4)
+    ]
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        s, t = 10.0 ** rng.uniform(-4.0, 4.0, 2)
+        r0 = 10.0 ** rng.uniform(math.log10(max(s, t)) - 9.0, 4.0)
+        cases.append((float(s), float(t), float(r0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, t, r0 in cases:
+            rep = check_speed_bound(kernel, s, t, r0)
+            assert rep.holds, (selector, s, t, r0, rep.max_defect, rep.witness)
 
 
 # --- grid helper ------------------------------------------------------------------

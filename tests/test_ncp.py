@@ -12,17 +12,19 @@ from smoothncp import (
     NcpProblem,
     error_bound,
     feas_metric,
-    p0_sample_test,
-    p_sample_test_hr,
     problem_from_selector,
     quadratic_modulus,
     res_metric,
 )
 
-
-def anti_monotone():
-    """F(x) = -x: the canonical failure case for every P-type property."""
-    return NcpProblem(name="anti", n=1, eval_F=lambda x: -x, known_solutions=[np.zeros(1)])
+# The tests of the sampled P-checks live with the checks in p_sampling.py;
+# imported here, they run as tests of this module.
+from p_sampling import (  # noqa: F401
+    test_p0_sample_flags_antimonotone,
+    test_p0_sample_holds_on_shipped_problems,
+    test_p_sample_hr_flags_antimonotone,
+    test_p_sample_hr_strictly_positive_on_monotone,
+)
 
 
 # --- metrics -------------------------------------------------------------------
@@ -149,36 +151,6 @@ def test_evaluation_error_carries_index():
     with pytest.raises(EvaluationError) as excinfo:
         nash.F(-np.ones(5))
     assert excinfo.value.index is None
-
-
-# --- sampled P-properties ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("selector", ["analytic2d", "monotone:10", "hphard:20"])
-def test_p0_sample_holds_on_shipped_problems(selector):
-    rep = p0_sample_test(problem_from_selector(selector), pair_count=60, seed=3)
-    assert rep.holds
-    assert rep.property == "p0_sampled"
-
-
-def test_p0_sample_flags_antimonotone():
-    rep = p0_sample_test(anti_monotone(), pair_count=30, seed=0)
-    assert not rep.holds
-    assert rep.outcome == "violated"
-    assert rep.witness["value"] < 0.0
-    assert set(rep.witness) == {"pair", "x", "y", "value"}
-
-
-def test_p_sample_hr_strictly_positive_on_monotone(rational):
-    mono = problem_from_selector("monotone:10")
-    rep = p_sample_test_hr(mono, rational, 0.5, pair_count=40, seed=3)
-    assert rep.holds
-    assert rep.property == "p_sampled_hr"
-
-
-def test_p_sample_hr_flags_antimonotone(rational):
-    rep = p_sample_test_hr(anti_monotone(), rational, 0.5, pair_count=30, seed=0)
-    assert rep.outcome == "violated"
 
 
 # --- error moduli ------------------------------------------------------------------

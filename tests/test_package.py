@@ -1,0 +1,72 @@
+"""What `import smoothncp` loads, and the names it exposes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import smoothncp
+
+# Run in a fresh interpreter, so that no other test has imported a submodule.
+IMPORT_PROBE = """
+import json, sys
+import smoothncp
+
+loaded = sorted(m for m in sys.modules if m.startswith("smoothncp"))
+listed = set(dir(smoothncp))
+missing_from_dir = [name for name in smoothncp.__all__ if name not in listed]
+unresolved = [name for name in smoothncp.__all__ if not hasattr(smoothncp, name)]
+print(json.dumps({
+    "loaded": loaded,
+    "missing_from_dir": missing_from_dir,
+    "unresolved": unresolved,
+    "loaded_after": sorted(m for m in sys.modules if m.startswith("smoothncp")),
+}))
+"""
+
+
+def _run_probe():
+    src = str(Path(smoothncp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_import_loads_only_the_solver_stack():
+    probe = _run_probe()
+    assert probe["loaded"] == [
+        "smoothncp",
+        "smoothncp.kernels",
+        "smoothncp.ncp",
+        "smoothncp.problems",
+        "smoothncp.smoothing",
+        "smoothncp.solver",
+    ]
+    assert probe["missing_from_dir"] == []
+    assert probe["unresolved"] == []
+    # resolving every public name loads the analysis and CLI modules
+    assert "smoothncp.analysis" in probe["loaded_after"]
+    assert "smoothncp.cli" in probe["loaded_after"]
+
+
+def test_lazy_names_are_the_submodule_objects():
+    from smoothncp import analysis, cli, kernels
+
+    assert smoothncp.analysis is analysis and smoothncp.cli is cli
+    assert smoothncp.check_Ha is analysis.check_Ha
+    assert smoothncp.HaReport is analysis.HaReport
+    assert smoothncp.check_speed_bound is analysis.check_speed_bound
+    assert smoothncp.run_bench is cli.run_bench
+    assert not hasattr(kernels, "check_Ha")
+    assert len(smoothncp.__all__) == len(set(smoothncp.__all__)) == 55
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'p0_sample_test'"):
+        getattr(smoothncp, "p0_sample_test")

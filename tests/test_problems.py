@@ -14,11 +14,12 @@ from smoothncp import (
     kojima_shindo,
     linear_spd,
     nash_cournot,
-    p0_sample_test,
     problem_from_selector,
     res_metric,
     scalable_monotone,
 )
+
+from p_sampling import p0_sample_test
 
 ALL_SELECTORS = ["analytic2d", "ks", "nash5", "nash10", "hphard:20", "monotone:10", "linspd:8"]
 
