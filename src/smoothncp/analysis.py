@@ -138,8 +138,7 @@ def check_Ha(
     """
     if not 0.0 < a < 1.0:
         raise ValueError("check_Ha requires 0 < a < 1")
-    if not s_max > 0.0:
-        raise ValueError("check_Ha requires s_max > 0")
+    _finite_positive(s_max, "check_Ha's s_max")
     n = decades * points_per_decade + 1
     grid = np.geomspace(s_max * 10.0 ** (-decades), s_max, n)
     ok = kernel.psi(grid) <= 0.5 * kernel.psi(a * grid)
@@ -395,13 +394,9 @@ def limit_probe(
         ):
             raise ValueError("r_seq must be positive and strictly decreasing")
         r_arr = np.asarray(rs)
-    gs = tuple(_g_sweep(kernel, s, t, r_arr).tolist())
-    if len(rs) >= 2:
-        r1, r2 = rs[-2], rs[-1]
-        f1, f2 = gs[-2], gs[-1]
-        limit = f2 + (f2 - f1) * r2 / (r1 - r2)
-    else:
-        limit = gs[-1]
+    g1 = np.asarray(g_r(kernel, s / r_arr, t / r_arr, 1.0), dtype=float)
+    gs = tuple((r_arr * g1).tolist())
+    limit = _extrapolate(rs, gs)
     if len(rs) >= 3:
         d_prev = abs(gs[-2] - gs[-3])
         d_last = abs(gs[-1] - gs[-2])
@@ -414,9 +409,21 @@ def limit_probe(
     )
 
 
-def _g_sweep(kernel: SmoothingKernel, s: float, t: float, rs: np.ndarray):
-    """g_r(s, t) at every r of the array rs, as rs * g_1(s/rs, t/rs)."""
-    return rs * np.asarray(g_r(kernel, s / rs, t / rs, 1.0), dtype=float)
+def _extrapolate(rs: Sequence[float], gs: Sequence[float]) -> float:
+    """The r -> 0 limit from g at the decreasing rs: the line through the
+    last two points, evaluated at r = 0, or the one value given."""
+    if len(rs) < 2:
+        return gs[-1]
+    r1, r2 = rs[-2], rs[-1]
+    f1, f2 = gs[-2], gs[-1]
+    return f2 + (f2 - f1) * r2 / (r1 - r2)
+
+
+def _euler_deriv(f, s, t, ps, pt, r):
+    """f'(r) from f = g_r(s, t) and its partials ps, pt, by Euler's relation
+    r * f'(r) = f(r) - (s * ps + t * pt) for the degree-one homogeneous map
+    (s, t, r) -> g_r(s, t)."""
+    return (f - (s * ps + t * pt)) / r
 
 
 def g_r_deriv_r(kernel: SmoothingKernel, s, t, r: float):
@@ -430,9 +437,9 @@ def g_r_deriv_r(kernel: SmoothingKernel, s, t, r: float):
     """
     ps, pt = g_r_partials(kernel, s, t, r)
     f = g_r(kernel, s, t, r)
-    s_ = np.asarray(s, dtype=float)
-    t_ = np.asarray(t, dtype=float)
-    d = (f - (s_ * ps + t_ * pt)) / r
+    d = _euler_deriv(
+        f, np.asarray(s, dtype=float), np.asarray(t, dtype=float), ps, pt, r
+    )
     return float(d) if d.ndim == 0 else d
 
 
@@ -464,11 +471,12 @@ def check_speed_bound(
         f(0) - r * (f(0) - f(r0)) / r0 - slack <= f(r) <= f(0) + slack
 
     and the differential inequality r * f'(r) <= f(r) - f(0) + slack using
-    the closed-form derivative.  f(0) is taken from limit_probe.  The
-    default r_seq is r0 times a fixed 25-point geometric sweep from 1 down
-    to 1e-6: its end points are r0 and r0 * 1e-6 exactly, and at r0 = 1 it
-    is np.geomspace(r0, r0 * 1e-6, 25) bit for bit.  Elsewhere its interior
-    points differ from that by rounding, under 1e-14 relative.
+    the closed-form derivative.  f(0) is limit_probe's estimate on its
+    default probe.  The default r_seq is r0 times a fixed 25-point
+    geometric sweep from 1 down to 1e-6: its end points are r0 and
+    r0 * 1e-6 exactly, and at r0 = 1 it is np.geomspace(r0, r0 * 1e-6, 25)
+    bit for bit.  Elsewhere its interior points differ from that by
+    rounding, under 1e-14 relative.
 
     s, t and r0 must be finite and positive.  The smallest r of the check,
     in the sweep or in limit_probe, must keep s/r and t/r at most 1e16, and
@@ -476,15 +484,19 @@ def check_speed_bound(
     r0 at most 1e4.  Otherwise ValueError is raised: outside these scales
     the verdict can be false or the kernel's arithmetic can fail.
 
-    The sweep is evaluated at once through the homogeneity
-    g_r(s, t) = r * g_1(s/r, t/r): f(r) in one call and f'(r) as
-    g_r_deriv_r at (s/r, t/r, 1) in another, since the partials are
-    homogeneous of degree zero.  max_defect can therefore differ from a
-    per-r evaluation by rounding, up to about 1e-15: the exponential closed
-    form is homogeneous only up to rounding, and f'(r) is rounded at
-    (s/r, t/r).  The witness is the first violating r in sequence order,
-    with the side of largest defect (ties go to upper, then lower, then
-    derivative).
+    The sweep and the limit probe are evaluated at once through the
+    homogeneity g_r(s, t) = r * g_1(s/r, t/r): one soft-min call at
+    (s/r, t/r, 1), over r_seq followed by r = 1e-6, 1e-7, 1e-8, gives f(r)
+    and, by limit_probe's extrapolation, f(0).  With one call for the
+    partials at the sweep's (s/r, t/r, 1), which are homogeneous of degree
+    zero, the same values give r * f'(r) by the Euler relation of
+    g_r_deriv_r.  f(r0) is its own call at r0.  The report is the one that
+    limit_probe, g_r at r0, the sweep and g_r_deriv_r at (s/r, t/r, 1)
+    give, bit for bit.  max_defect can differ from a per-r evaluation by
+    rounding, up to about 1e-15: the exponential closed form is homogeneous
+    only up to rounding, and f'(r) is rounded at (s/r, t/r).  The witness
+    is the first violating r in sequence order, with the side of largest
+    defect (ties go to upper, then lower, then derivative).
     """
     s, t, r0 = _finite_positive((s, t, r0), "s, t and r0").tolist()
     if r_seq is None:
@@ -509,10 +521,18 @@ def check_speed_bound(
             f"s and t must lie in [{_SPEED_MIN:g}, {_SPEED_MAX:g}] and r0 must "
             f"be at most {_SPEED_MAX:g}"
         )
-    f0 = limit_probe(kernel, s, t).limit
+    # one soft-min call at (s/r, t/r, 1) for the sweep and the limit probe;
+    # f(r0) stays a call at r0: r0 * g_1(s/r0, t/r0) can round differently
+    n = rs.size
+    r_all = np.concatenate((rs, _DEFAULT_PROBE_R))
+    s_r, t_r = s / r_all, t / r_all
+    g1 = np.asarray(g_r(kernel, s_r, t_r, 1.0), dtype=float)
+    f_all = r_all * g1
+    f0 = _extrapolate(_DEFAULT_PROBE, f_all[n:].tolist())
     fr0 = float(g_r(kernel, s, t, r0))
-    fr = _g_sweep(kernel, s, t, rs)
-    rdf = rs * g_r_deriv_r(kernel, s / rs, t / rs, 1.0)
+    fr, s_r, t_r, g1 = f_all[:n], s_r[:n], t_r[:n], g1[:n]
+    ps, pt = g_r_partials(kernel, s_r, t_r, 1.0)
+    rdf = rs * _euler_deriv(g1, s_r, t_r, ps, pt, 1.0)
     upper = fr - f0 - SPEED_SLACK
     lower = f0 - rs * (f0 - fr0) / r0 - fr - SPEED_SLACK
     derivative = rdf - (fr - f0) - SPEED_SLACK

@@ -68,10 +68,8 @@ class NcpProblem:
     one band on each side); the other two entries are ignored.  jacobian()
     still returns the dense matrix, and the solver takes O(n) Newton steps
     on the bands.  known_solutions are reference points validated at
-    construction time against Res <= 1e-8 and Feas <= 1e-8.  sample_box
-    gives per-coordinate intervals for diagnostic sampling, [0, 20] by
-    default.  meta carries family-specific constants (matrices, eigenvalues,
-    oracle solutions).
+    construction time against Res <= 1e-8 and Feas <= 1e-8.  meta carries
+    family-specific constants (matrices, eigenvalues, oracle solutions).
     """
 
     name: str
@@ -79,7 +77,6 @@ class NcpProblem:
     eval_F: Callable = field(repr=False)
     eval_JF: Callable | None = field(default=None, repr=False)
     known_solutions: list = field(default_factory=list)
-    sample_box: np.ndarray | None = None
     meta: dict = field(default_factory=dict, repr=False)
     tridiagonal: bool = False
 
@@ -88,12 +85,6 @@ class NcpProblem:
             raise ValueError("problem dimension must be at least 1")
         if self.tridiagonal and self.eval_JF is None:
             raise ValueError("a tridiagonal problem must supply eval_JF")
-        if self.sample_box is None:
-            self.sample_box = np.tile([0.0, 20.0], (self.n, 1))
-        else:
-            self.sample_box = np.asarray(self.sample_box, dtype=float)
-            if self.sample_box.shape != (self.n, 2):
-                raise ValueError("sample_box must have shape (n, 2)")
         self.known_solutions = [
             np.asarray(s, dtype=float) for s in self.known_solutions
         ]

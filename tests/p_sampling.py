@@ -1,6 +1,6 @@
 """Sampled P-property checks of complementarity problems, and their tests.
 
-p0_sample_test draws pairs of points from a problem's sample box and checks
+p0_sample_test draws pairs of points from the box [0, 20]^n and checks
 the P0 criterion max_i (x-y)_i (F(x)-F(y))_i >= -P0_SLACK on each pair;
 p_sample_test_hr checks the strict P criterion for the smoothed map
 x -> H_r(x).  Only the tests use them.  The tests below run as part of
@@ -15,12 +15,13 @@ import pytest
 from smoothncp import AnalysisReport, NcpProblem, h_r, problem_from_selector
 
 P0_SLACK = 1e-12
+# every coordinate of a pair is drawn from this interval
+SAMPLE_BOX = (0.0, 20.0)
 
 
 def _sample_pairs(problem: NcpProblem, pair_count: int, seed: int):
     rng = np.random.default_rng(seed)
-    lo = problem.sample_box[:, 0]
-    hi = problem.sample_box[:, 1]
+    lo, hi = SAMPLE_BOX
     shape = (pair_count, 2, problem.n)
     return lo + (hi - lo) * rng.uniform(size=shape)
 

@@ -425,8 +425,52 @@ def _speed_bound_per_r(kernel, s, t, r0, r_seq=None):
     return ("holds" if witness is None else "violated"), max_defect, witness
 
 
+def _speed_bound_by_parts(kernel, s, t, r0, r_seq=None):
+    """check_speed_bound's report, built from limit_probe, g_r at r0, the
+    sweep r * g_1(s/r, t/r) and g_r_deriv_r at (s/r, t/r, 1)."""
+    if r_seq is None:
+        rs = r0 * np.geomspace(1.0, 1e-6, 25)
+    else:
+        rs = np.array([float(r) for r in r_seq])
+    f0 = limit_probe(kernel, s, t).limit
+    fr0 = float(g_r(kernel, s, t, r0))
+    fr = rs * np.asarray(g_r(kernel, s / rs, t / rs, 1.0), dtype=float)
+    rdf = rs * g_r_deriv_r(kernel, s / rs, t / rs, 1.0)
+    sides = {
+        "upper": fr - f0 - analysis.SPEED_SLACK,
+        "lower": f0 - rs * (f0 - fr0) / r0 - fr - analysis.SPEED_SLACK,
+        "derivative": rdf - (fr - f0) - analysis.SPEED_SLACK,
+    }
+    worst = np.maximum(np.maximum(sides["upper"], sides["lower"]), sides["derivative"])
+    rep = {
+        "property": "speed_bound",
+        "grid": f"s={s:g}, t={t:g}, r0={r0:g}, {rs.size} r values",
+        "outcome": "holds",
+        "max_defect": float(worst.max(initial=-math.inf)),
+    }
+    bad = np.flatnonzero(worst > 0.0)
+    if bad.size:
+        k = int(bad[0])
+        rep["outcome"] = "violated"
+        rep["witness"] = {
+            "r": float(rs[k]),
+            "f(r)": float(fr[k]),
+            "f(0)": f0,
+            "side": max(sides, key=lambda side: sides[side][k]),
+        }
+    return analysis.AnalysisReport(**rep)
+
+
+def _assert_same_report(kernel, s, t, r0, r_seq=None):
+    # repr spells every float exactly, its type included, and NaN as nan
+    got = check_speed_bound(kernel, s, t, r0, r_seq)
+    want = _speed_bound_by_parts(kernel, s, t, r0, r_seq)
+    assert repr(got) == repr(want), (kernel.name, s, t, r0, r_seq)
+
+
 def _assert_matches_per_r(kernel, s, t, r0, r_seq=None):
     rep = check_speed_bound(kernel, s, t, r0, r_seq)
+    _assert_same_report(kernel, s, t, r0, r_seq)
     outcome, max_defect, witness = _speed_bound_per_r(kernel, s, t, r0, r_seq)
     assert rep.outcome == outcome, (kernel.name, s, t, r0)
     assert abs(rep.max_defect - max_defect) <= 1e-12, (kernel.name, s, t, r0)
@@ -458,6 +502,24 @@ def test_speed_bound_explicit_r_seq(kernel):
     for bad in ((0.3, 0.6), (0.3, 0.0), (-1e-3,)):
         with pytest.raises(ValueError, match=r"\(0, r0\]"):
             check_speed_bound(kernel, 1.5, 0.7, 0.5, bad)
+
+
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS + ["phi:1.5"])
+def test_speed_bound_is_bit_identical_to_its_parts(selector):
+    # the triples are drawn on the benchmark's ranges; with the 3 probe
+    # points, r_seq of 30 entries or more takes the rational soft-min past
+    # its 32-entry float path
+    kernel = kernel_from_selector(selector)
+    rng = np.random.default_rng(13)
+    for _ in range(150):
+        s, t = rng.uniform(0.05, 10.0, 2).tolist()
+        r0 = float(rng.uniform(1e-3, 1.0))
+        _assert_same_report(kernel, s, t, r0)
+    for size in (1, 25, 29, 30, 40):
+        for _ in range(5):
+            s, t = rng.uniform(0.05, 10.0, 2).tolist()
+            r0 = float(rng.uniform(1e-3, 1.0))
+            _assert_same_report(kernel, s, t, r0, r0 * 10.0 ** rng.uniform(-6.0, 0.0, size))
 
 
 def _overriding(softmin, partials):
@@ -526,6 +588,7 @@ def test_speed_bound_nan_defect_does_not_hide_a_violation():
 
     kernel = _overriding(softmin, _min_partials)
     rep = check_speed_bound(kernel, 1.0, 2.0, 0.1, (1e-10, 1e-2, 1e-3))
+    _assert_same_report(kernel, 1.0, 2.0, 0.1, (1e-10, 1e-2, 1e-3))
     assert math.isnan(rep.max_defect)
     assert rep.outcome == "violated"
     assert rep.witness["r"] == 1e-3

@@ -1,6 +1,7 @@
 """Kernel family: values, branch consistency, scaling, and the (H_a) scan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ def test_check_ha_rational_large_a_fails(rational):
     assert not rep.satisfied
     assert rep.violated_at == 50.0
     assert rep.grid_points == 385
+
+
+@pytest.mark.parametrize("selector", ["rational", "exp"])
+@pytest.mark.parametrize("s_max", [math.inf, math.nan])
+def test_check_ha_rejects_bad_s_max(selector, s_max):
+    # an infinite s_max made the grid NaN, and the scan reported satisfied
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="s_max must be finite and positive"):
+            check_Ha(kernel_from_selector(selector), 0.5, s_max)
 
 
 def test_selector_parsing():

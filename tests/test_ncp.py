@@ -75,17 +75,6 @@ def test_problem_rejects_bad_known_solution():
         )
 
 
-def test_problem_rejects_bad_sample_box():
-    with pytest.raises(ValueError, match="sample_box"):
-        NcpProblem(name="box", n=2, eval_F=lambda x: x, sample_box=np.zeros(2))
-
-
-def test_default_sample_box():
-    p = NcpProblem(name="plain", n=3, eval_F=lambda x: x)
-    assert p.sample_box.shape == (3, 2)
-    assert np.array_equal(p.sample_box, np.tile([0.0, 20.0], (3, 1)))
-
-
 def test_evaluation_shape_checks():
     p = NcpProblem(name="plain", n=2, eval_F=lambda x: x)
     with pytest.raises(ValueError, match="expected point"):
