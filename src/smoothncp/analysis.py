@@ -383,8 +383,12 @@ def limit_probe(
     default sweep of check_speed_bound, r0 times a fixed 25-point sweep
     from 1 to 1e-6, it does not scale with r0.  The whole sequence is
     evaluated in one call through the homogeneity
-    g_r(s, t) = r * g_1(s/r, t/r).
+    g_r(s, t) = r * g_1(s/r, t/r).  s and t must be finite, and so must s/r
+    and t/r at the smallest r; otherwise ValueError is raised.
     """
+    s, t = float(s), float(t)
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise ValueError("limit_probe's s and t must be finite")
     if r_seq is None:
         rs, r_arr = _DEFAULT_PROBE, _DEFAULT_PROBE_R
     else:
@@ -394,6 +398,8 @@ def limit_probe(
         ):
             raise ValueError("r_seq must be positive and strictly decreasing")
         r_arr = np.asarray(rs)
+    if not (math.isfinite(s / rs[-1]) and math.isfinite(t / rs[-1])):
+        raise ValueError("limit_probe's s/r and t/r must be finite at the smallest r")
     g1 = np.asarray(g_r(kernel, s / r_arr, t / r_arr, 1.0), dtype=float)
     gs = tuple((r_arr * g1).tolist())
     limit = _extrapolate(rs, gs)
@@ -404,7 +410,7 @@ def limit_probe(
     else:
         consistent = True
     return LimitEstimate(
-        s=float(s), t=float(t), r_values=rs, g_values=gs, limit=limit,
+        s=s, t=t, r_values=rs, g_values=gs, limit=limit,
         consistent=consistent,
     )
 
@@ -433,13 +439,18 @@ def g_r_deriv_r(kernel: SmoothingKernel, s, t, r: float):
 
     which follows from Euler's relation for the degree-one homogeneous map
     (s, t, r) -> g_r(s, t).  Scalars and same-shape arrays s, t are both
-    accepted; scalar input gives a float.
+    accepted; scalar input gives a float.  A NaN or infinite entry of s or t
+    raises ValueError.  Once |s|/r and |t|/r pass about 1/eps, f(r) and
+    s * dG/ds + t * dG/dt agree in every digit and the identity cancels:
+    at (s, t, r) = (1e300, 1e300, 1) it gives 0.0 for the rational kernel,
+    where the exact value is -0.5.
     """
+    s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if not (np.isfinite(s_).all() and np.isfinite(t_).all()):
+        raise ValueError("g_r_deriv_r's s and t must be finite")
     ps, pt = g_r_partials(kernel, s, t, r)
     f = g_r(kernel, s, t, r)
-    d = _euler_deriv(
-        f, np.asarray(s, dtype=float), np.asarray(t, dtype=float), ps, pt, r
-    )
+    d = _euler_deriv(f, s_, t_, ps, pt, r)
     return float(d) if d.ndim == 0 else d
 
 

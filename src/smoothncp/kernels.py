@@ -68,12 +68,13 @@ def _require_finite_min(lo):
 
 
 def _sums_finite(a, b):
-    """Whether every a + b is finite, with no warning for -inf + inf."""
+    """Whether every a + b is finite, with no warning for -inf + inf or for
+    a sum that overflows."""
     # sums of squares below the overflow threshold bound every entry by
     # 1e154, so that every a + b is finite; this costs less than the sums
     if math.isfinite(np.vdot(a, a) + np.vdot(b, b)):
         return True
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return bool(np.isfinite(a + b).all())
 
 
@@ -159,19 +160,50 @@ class PhiLambdaParams:
     d: float = 1.0
 
     def __post_init__(self):
-        if not self.lam >= 1.0:
-            raise ValueError("phi_lambda requires lam >= 1")
-        if not self.c1 > 0.0:
-            raise ValueError("phi_lambda requires c1 > 0")
-        if not self.d > 0.0:
-            raise ValueError("phi_lambda requires d > 0")
+        if not 1.0 <= self.lam < math.inf:
+            raise ValueError("phi_lambda requires a finite lam >= 1")
+        if not 0.0 < self.c1 < math.inf:
+            raise ValueError("phi_lambda requires a finite c1 > 0")
+        if not 0.0 < self.d < math.inf:
+            raise ValueError("phi_lambda requires a finite d > 0")
+
+
+def _spliced(branch: AnalyticBranch, theta_main, x0, psi0, slope) -> dict:
+    """theta, psi, dpsi, d2psi, psi_inv and analytic of a spliced kernel.
+
+    The splice rule: follow the analytic branch on x >= x0 and continue
+    affinely below, psi(x) = psi0 + slope * (x - x0), with psi0 and slope
+    the branch's psi and psi' at x0, so psi is C^1 and psi'' = 0 below x0.
+    psi_inv follows branch.psi_inv on (0, psi0]; theta is theta_main on
+    x >= x0 and (1 - psi0) - slope * (x - x0) below.  branch.psi_inv makes
+    the only positivity check: _piecewise evaluates it on every entry.
+    """
+    if not all(map(math.isfinite, (x0, psi0, slope))):
+        raise ValueError(
+            f"a kernel splice needs finite x0, psi0, slope: {x0:g}, {psi0:g}, {slope:g}"
+        )
+
+    def spliced(main_fn, affine_fn, in_main=lambda u: u >= x0):
+        return lambda t: _piecewise(t, in_main, main_fn, affine_fn)
+
+    return dict(
+        theta=spliced(theta_main, lambda u: (1.0 - psi0) - slope * (u - x0)),
+        psi=spliced(branch.psi, lambda u: psi0 + slope * (u - x0)),
+        dpsi=spliced(branch.dpsi, lambda u: np.full_like(u, slope)),
+        d2psi=spliced(branch.d2psi, np.zeros_like),
+        psi_inv=spliced(
+            branch.psi_inv, lambda v: x0 + (v - psi0) / slope, lambda v: v <= psi0
+        ),
+        analytic=branch,
+    )
 
 
 def make_rational() -> SmoothingKernel:
     """Kernel with theta(t) = t/(t+1) for t >= 0 and theta(t) = t below.
 
-    psi is C^1 everywhere but psi'' jumps at 0 (2 from the right, 0 from the
-    left); derivative values at 0 use the right branch.
+    The branch psi(x) = 1/(1+x) is spliced at x0 = 0 (see _spliced): psi''
+    jumps at 0 (2 from the right, 0 from the left), and values at 0 use the
+    right branch.
 
     The soft-min g_r and its partials are closed forms.  Let lo = min(s, t),
     hi = max(s, t) and den = max(s, 0) + max(t, 0) + 2r.  Where
@@ -188,43 +220,6 @@ def make_rational() -> SmoothingKernel:
     holds in floating point.  g(s, +inf) = s with partials (0, 1); NaN,
     -inf and two +inf arguments raise FloatingPointError.
     """
-
-    def _nonneg(u):
-        return u >= 0.0
-
-    def theta(t):
-        return _piecewise(t, _nonneg, lambda u: u / (u + 1.0), lambda u: u)
-
-    def psi(t):
-        return _piecewise(t, _nonneg, lambda u: 1.0 / (u + 1.0), lambda u: 1.0 - u)
-
-    def dpsi(t):
-        return _piecewise(
-            t, _nonneg, lambda u: -1.0 / (u + 1.0) ** 2, lambda u: -np.ones_like(u)
-        )
-
-    def d2psi(t):
-        return _piecewise(
-            t, _nonneg, lambda u: 2.0 / (u + 1.0) ** 3, lambda u: np.zeros_like(u)
-        )
-
-    def psi_inv(y):
-        arr = _require_positive(y, "psi_inv")
-        return _piecewise(
-            arr, lambda v: v <= 1.0, lambda v: 1.0 / v - 1.0, lambda v: 1.0 - v
-        )
-
-    def a_psi(x):
-        return 1.0 / (1.0 + np.asarray(x, dtype=float))
-
-    def a_dpsi(x):
-        return -1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2
-
-    def a_d2psi(x):
-        return 2.0 / (1.0 + np.asarray(x, dtype=float)) ** 3
-
-    def a_psi_inv(y):
-        return 1.0 / _require_positive(y, "psi_inv") - 1.0
 
     def _outside_main(sp, tp, r):
         # s t < r^2 or a negative argument, compared through square roots so
@@ -344,17 +339,16 @@ def make_rational() -> SmoothingKernel:
             return float(ds), float(dt)
         return ds, dt
 
-    analytic = AnalyticBranch(a_psi, a_dpsi, a_d2psi, a_psi_inv, x_low=-1.0)
+    branch = AnalyticBranch(
+        psi=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
+        dpsi=lambda x: -1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2,
+        d2psi=lambda x: 2.0 / (1.0 + np.asarray(x, dtype=float)) ** 3,
+        psi_inv=lambda y: 1.0 / _require_positive(y, "psi_inv") - 1.0,
+        x_low=-1.0,
+    )
     return SmoothingKernel(
-        name="rational",
-        theta=theta,
-        psi=psi,
-        dpsi=dpsi,
-        d2psi=d2psi,
-        psi_inv=psi_inv,
-        analytic=analytic,
-        softmin_override=softmin,
-        softmin_partials_override=softmin_partials,
+        "rational", **_spliced(branch, lambda u: u / (u + 1.0), 0.0, 1.0, -1.0),
+        softmin_override=softmin, softmin_partials_override=softmin_partials,
     )
 
 
@@ -428,95 +422,40 @@ def make_phi_lambda(params: PhiLambdaParams) -> SmoothingKernel:
     """Kernel from the family (psi')^2 = (1/lam) * psi * psi''.
 
     lam = 1 returns the exponential kernel with rate d (identical to
-    make_exponential() when d = 1).  For lam > 1 the power form
-    psi(x) = (c1*x + 1)^(-1/(lam-1)) holds on x >= x0 = -1/(2*c1) and is
-    continued affinely below x0 with matching value and slope, keeping theta
-    increasing and C^1 on all of R.
+    make_exponential() when d = 1).  For lam > 1 the power branch
+    psi(x) = (c1*x + 1)^(-1/(lam-1)) is spliced at x0 = -1/(2*c1) (see
+    _spliced).  ValueError is raised where x0, psi(x0) or psi'(x0) overflows:
+    lam within about 1e-3 of 1, or an extreme c1.
     """
     if params.lam == 1.0:
         if params.d == 1.0:
             return make_exponential()
         return _make_exponential_family(params.d, f"phi:1:{params.d:g}")
 
-    lam = float(params.lam)
-    c = float(params.c1)
+    lam, c = float(params.lam), float(params.c1)
     p = 1.0 / (lam - 1.0)
     x0 = -1.0 / (2.0 * c)
-    psi0 = 2.0**p
-    slope = -p * c * 2.0 ** (p + 1.0)  # psi'(x0)
+    try:
+        psi0, slope = 2.0**p, -p * c * 2.0 ** (p + 1.0)  # psi and psi' at x0
+    except OverflowError:
+        psi0 = slope = math.inf  # rejected by _spliced
 
-    def _power_side(u):
-        return u >= x0
+    def _pow(x, q):
+        # (1 + c x)^(-q)
+        return np.exp(-q * np.log1p(c * np.asarray(x, dtype=float)))
 
-    def _psi_pow(u):
-        return np.exp(-p * np.log1p(c * u))
+    def _theta_main(u):  # 1 - psi on the branch, free of cancellation
+        return c * u / (c * u + 1.0) if p == 1.0 else -np.expm1(-p * np.log1p(c * u))
 
-    def _theta_pow(u):
-        if p == 1.0:
-            return c * u / (c * u + 1.0)
-        return -np.expm1(-p * np.log1p(c * u))
-
-    def theta(t):
-        return _piecewise(
-            t, _power_side, _theta_pow, lambda u: 1.0 - (psi0 + slope * (u - x0))
-        )
-
-    def psi(t):
-        return _piecewise(t, _power_side, _psi_pow, lambda u: psi0 + slope * (u - x0))
-
-    def dpsi(t):
-        return _piecewise(
-            t,
-            _power_side,
-            lambda u: -p * c * np.exp(-(p + 1.0) * np.log1p(c * u)),
-            lambda u: np.full_like(u, slope),
-        )
-
-    def d2psi(t):
-        return _piecewise(
-            t,
-            _power_side,
-            lambda u: p * (p + 1.0) * c * c * np.exp(-(p + 2.0) * np.log1p(c * u)),
-            lambda u: np.zeros_like(u),
-        )
-
-    def _psi_inv_pow(y):
-        return np.expm1(-np.log(y) / p) / c
-
-    def psi_inv(y):
-        arr = _require_positive(y, "psi_inv")
-        return _piecewise(
-            arr,
-            lambda v: v <= psi0,
-            _psi_inv_pow,
-            lambda v: x0 + (v - psi0) / slope,
-        )
-
-    def a_psi_inv(y):
-        return _psi_inv_pow(_require_positive(y, "psi_inv"))
-
-    def a_dpsi(x):
-        u = np.asarray(x, dtype=float)
-        return -p * c * np.exp(-(p + 1.0) * np.log1p(c * u))
-
-    def a_d2psi(x):
-        u = np.asarray(x, dtype=float)
-        return p * (p + 1.0) * c * c * np.exp(-(p + 2.0) * np.log1p(c * u))
-
-    def a_psi(x):
-        return _psi_pow(np.asarray(x, dtype=float))
-
-    analytic = AnalyticBranch(a_psi, a_dpsi, a_d2psi, a_psi_inv, x_low=-1.0 / c)
-    name = f"phi:{lam:g}" if c == 1.0 else f"phi:{lam:g}:{c:g}"
-    return SmoothingKernel(
-        name=name,
-        theta=theta,
-        psi=psi,
-        dpsi=dpsi,
-        d2psi=d2psi,
-        psi_inv=psi_inv,
-        analytic=analytic,
+    branch = AnalyticBranch(
+        psi=lambda x: _pow(x, p),
+        dpsi=lambda x: -p * c * _pow(x, p + 1.0),
+        d2psi=lambda x: p * (p + 1.0) * c * c * _pow(x, p + 2.0),
+        psi_inv=lambda y: np.expm1(-np.log(_require_positive(y, "psi_inv")) / p) / c,
+        x_low=-1.0 / c,
     )
+    name = f"phi:{lam:g}" if c == 1.0 else f"phi:{lam:g}:{c:g}"
+    return SmoothingKernel(name=name, **_spliced(branch, _theta_main, x0, psi0, slope))
 
 
 def kernel_from_selector(selector: str) -> SmoothingKernel:

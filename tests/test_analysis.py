@@ -349,6 +349,38 @@ def test_limit_probe_zero_case(rational, exponential):
         assert np.all(np.diff(est.r_values) < 0.0)
 
 
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+def test_limit_probe_and_deriv_reject_non_finite_arguments(selector):
+    kernel = kernel_from_selector(selector)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, t in ((math.inf, 1.0), (1.0, math.nan), (-math.inf, 2.0)):
+            with pytest.raises(ValueError, match="s and t must be finite"):
+                limit_probe(kernel, s, t)
+            with pytest.raises(ValueError, match="s and t must be finite"):
+                g_r_deriv_r(kernel, s, t, 1.0)
+        with pytest.raises(ValueError, match="s and t must be finite"):
+            g_r_deriv_r(kernel, np.array([1.0, 2.0]), np.array([0.5, math.inf]), 1.0)
+        # s/r or t/r overflows at the smallest r of the probe
+        for s, t, r_seq in (
+            (1e301, 1.0, None), (1.0, -1e301, None), (1e300, 1e300, (1e-6, 1e-9))
+        ):
+            with pytest.raises(ValueError, match="finite at the smallest r"):
+                limit_probe(kernel, s, t, r_seq)
+
+
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+def test_limit_probe_keeps_zero_negative_and_large_arguments(selector):
+    kernel = kernel_from_selector(selector)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(limit_probe(kernel, 0.0, 0.0).limit) <= 1e-6
+        assert limit_probe(kernel, -1.0, 2.0).limit == pytest.approx(-1.0, rel=1e-6)
+        # s + t overflows inside the rational soft-min, with no warning
+        est = limit_probe(kernel, 1e300, 1e300)
+    assert math.isfinite(est.limit)
+
+
 # --- d g_r / d r ------------------------------------------------------------------
 
 

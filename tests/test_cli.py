@@ -180,6 +180,15 @@ def test_main_analyze_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("selector", ["phi:1:inf", "phi:inf", "phi:1.0009765625"])
+def test_main_analyze_rejects_degenerate_kernels(selector, capsys):
+    # a kernel that cannot be built is a usage error: exit 2, no report
+    assert main(["analyze", "--theta", selector, "--check", "speed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_main_rejects_unknown_check(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["analyze", "--theta", "rational", "--check", "nonsense"])

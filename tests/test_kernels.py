@@ -147,6 +147,223 @@ def test_phi_lambda_rejects_bad_parameters():
         PhiLambdaParams(1.0, 1.0, d=0.0)
 
 
+@pytest.mark.parametrize(
+    "selector",
+    [
+        "phi:1:inf",  # rate d = inf: psi(1) = 0
+        "phi:inf",  # p = 0: psi = 1 everywhere
+        "phi:2:inf",  # psi'(x0) = -inf
+        "phi:2:1e-320",  # x0 = -1/(2 c1) = -inf
+        "phi:1.0009765625",  # p = 1024: 2^p overflows
+        "phi:1.0000000000000002",
+        "phi:1.000977995",  # psi(x0) finite, psi'(x0) = -inf
+    ],
+)
+def test_phi_lambda_rejects_degenerate_selectors(selector):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            kernel_from_selector(selector)
+
+
+# --- the splice, bit for bit ------------------------------------------------------
+#
+# The rational and phi_lambda kernels written out piece by piece, each
+# function with its own closed forms on both sides of its splice point.
+
+SPLICED = ["rational", "phi:2", "phi:1.5", "phi:3", "phi:3:2", "phi:1.25:0.5"]
+
+
+def _ref_piecewise(t, in_main, main_fn, other_fn):
+    arr = np.asarray(t, dtype=float)
+    u = np.atleast_1d(arr)
+    with np.errstate(all="ignore"):
+        out = np.where(in_main(u), main_fn(u), other_fn(u))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def _ref_positive(y):
+    arr = np.asarray(y, dtype=float)
+    if np.any(arr <= 0.0):
+        raise ValueError("psi_inv is defined on positive arguments only")
+    return arr
+
+
+def _ref_rational():
+    """(x0, psi0, solver functions, analytic functions, x_low)."""
+
+    def nonneg(u):
+        return u >= 0.0
+
+    def pw(main_fn, other_fn):
+        return lambda t: _ref_piecewise(t, nonneg, main_fn, other_fn)
+
+    solver = dict(
+        theta=pw(lambda u: u / (u + 1.0), lambda u: u),
+        psi=pw(lambda u: 1.0 / (u + 1.0), lambda u: 1.0 - u),
+        dpsi=pw(lambda u: -1.0 / (u + 1.0) ** 2, lambda u: -np.ones_like(u)),
+        d2psi=pw(lambda u: 2.0 / (u + 1.0) ** 3, lambda u: np.zeros_like(u)),
+        psi_inv=lambda y: _ref_piecewise(
+            _ref_positive(y), lambda v: v <= 1.0, lambda v: 1.0 / v - 1.0,
+            lambda v: 1.0 - v,
+        ),
+    )
+    analytic = dict(
+        psi=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
+        dpsi=lambda x: -1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2,
+        d2psi=lambda x: 2.0 / (1.0 + np.asarray(x, dtype=float)) ** 3,
+        psi_inv=lambda y: 1.0 / _ref_positive(y) - 1.0,
+    )
+    return 0.0, 1.0, solver, analytic, -1.0
+
+
+def _ref_phi(lam, c):
+    """(x0, psi0, solver functions, analytic functions, x_low)."""
+    p = 1.0 / (lam - 1.0)
+    x0 = -1.0 / (2.0 * c)
+    psi0 = 2.0**p
+    slope = -p * c * 2.0 ** (p + 1.0)
+
+    def power_side(u):
+        return u >= x0
+
+    def pw(main_fn, other_fn):
+        return lambda t: _ref_piecewise(t, power_side, main_fn, other_fn)
+
+    def psi_pow(u):
+        return np.exp(-p * np.log1p(c * u))
+
+    def dpsi_pow(u):
+        return -p * c * np.exp(-(p + 1.0) * np.log1p(c * u))
+
+    def d2psi_pow(u):
+        return p * (p + 1.0) * c * c * np.exp(-(p + 2.0) * np.log1p(c * u))
+
+    def psi_inv_pow(y):
+        return np.expm1(-np.log(y) / p) / c
+
+    def theta_pow(u):
+        if p == 1.0:
+            return c * u / (c * u + 1.0)
+        return -np.expm1(-p * np.log1p(c * u))
+
+    solver = dict(
+        theta=pw(theta_pow, lambda u: 1.0 - (psi0 + slope * (u - x0))),
+        psi=pw(psi_pow, lambda u: psi0 + slope * (u - x0)),
+        dpsi=pw(dpsi_pow, lambda u: np.full_like(u, slope)),
+        d2psi=pw(d2psi_pow, lambda u: np.zeros_like(u)),
+        psi_inv=lambda y: _ref_piecewise(
+            _ref_positive(y), lambda v: v <= psi0, psi_inv_pow,
+            lambda v: x0 + (v - psi0) / slope,
+        ),
+    )
+    analytic = dict(
+        psi=lambda x: psi_pow(np.asarray(x, dtype=float)),
+        dpsi=lambda x: dpsi_pow(np.asarray(x, dtype=float)),
+        d2psi=lambda x: d2psi_pow(np.asarray(x, dtype=float)),
+        psi_inv=lambda y: psi_inv_pow(_ref_positive(y)),
+    )
+    return x0, psi0, solver, analytic, -1.0 / c
+
+
+def _reference(selector):
+    if selector == "rational":
+        return _ref_rational()
+    parts = [float(v) for v in selector.split(":")[1:]]
+    return _ref_phi(parts[0], parts[1] if len(parts) == 2 else 1.0)
+
+
+def _around(v):
+    """v, its neighbouring floats and points 1e-9 and 1e-3 away on each side."""
+    return [
+        v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf),
+        v - 1e-9, v + 1e-9, v - 1e-3, v + 1e-3,
+    ]
+
+
+def _assert_bits(got, want):
+    """Same type, shape, NaN entries and bits elsewhere (so -0.0 != 0.0)."""
+    assert type(got) is type(want)
+    g, w = np.atleast_1d(got), np.atleast_1d(want)
+    assert g.shape == w.shape and g.dtype == w.dtype == np.float64
+    nan = np.isnan(w)
+    assert np.array_equal(np.isnan(g), nan)
+    assert np.array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("selector", SPLICED)
+def test_splice_matches_the_written_out_kernel(selector):
+    x0, psi0, solver, analytic, x_low = _reference(selector)
+    kern = kernel_from_selector(selector)
+    specials = [-0.0, 0.0, math.inf, -math.inf, math.nan]
+    xs = np.concatenate(
+        (np.linspace(-20.0, 20.0, 4001), _around(x0), _around(x_low), specials)
+    )
+    ys = np.concatenate(
+        (
+            np.geomspace(1e-300, 1e300, 601),
+            np.linspace(0.01, 20.0, 1999),
+            _around(psi0),
+            [1.0, math.inf, math.nan],
+        )
+    )
+    scalar_xs = np.concatenate((xs[:4001:40], _around(x0), _around(x_low), specials))
+    scalar_ys = np.concatenate((ys[:2600:26], _around(psi0), [math.inf, math.nan]))
+    assert kern.analytic.x_low == x_low
+    with np.errstate(all="ignore"):
+        for name in ("psi", "dpsi", "d2psi", "psi_inv"):
+            grid, points = (ys, scalar_ys) if name == "psi_inv" else (xs, scalar_xs)
+            for got, want in (
+                (getattr(kern, name), solver[name]),
+                (getattr(kern.analytic, name), analytic[name]),
+            ):
+                _assert_bits(got(grid), want(grid))
+                for v in points.tolist():
+                    _assert_bits(got(v), want(v))
+
+
+@pytest.mark.parametrize("selector", SPLICED)
+def test_splice_psi_inv_rejects_nonpositive_entries(selector):
+    _, _, solver, analytic, _ = _reference(selector)
+    kern = kernel_from_selector(selector)
+    for bad in (0.0, -0.0, -1.0, -math.inf, np.array([2.0, 0.5, 0.0]),
+                np.array([1.0, -3.0, math.nan])):
+        for got, want in ((kern.psi_inv, solver["psi_inv"]),
+                          (kern.analytic.psi_inv, analytic["psi_inv"])):
+            with pytest.raises(ValueError) as expected:
+                want(bad)
+            with pytest.raises(ValueError, match=str(expected.value)):
+                got(bad)
+
+
+@pytest.mark.parametrize(
+    "selector, max_ulp",
+    [("rational", 0), ("phi:2", 0), ("phi:1.5", 0), ("phi:1.25:0.5", 0),
+     ("phi:3", 2), ("phi:3:2", 2)],
+)
+def test_splice_theta_rounding(selector, max_ulp):
+    # theta's affine piece is (1 - psi0) - slope (x - x0), exact for the
+    # rational kernel; written as 1 - psi it rounds differently for phi:3
+    x0, _, solver, _, _ = _reference(selector)
+    kern = kernel_from_selector(selector)
+    specials = [-0.0, math.inf, -math.inf, math.nan]
+    xs = np.concatenate((np.linspace(-100.0, 100.0, 200001), _around(x0), specials))
+    got, want = kern.theta(xs), solver["theta"](xs)
+    for v in np.concatenate((xs[::2000], _around(x0), specials)).tolist():
+        if max_ulp == 0 or v >= x0:
+            _assert_bits(kern.theta(v), solver["theta"](v))
+    if max_ulp == 0:
+        _assert_bits(got, want)
+        return
+    above = xs >= x0
+    _assert_bits(got[above], want[above])
+    g, w = got[~above], want[~above]
+    finite = np.isfinite(w)
+    assert np.array_equal(g[~finite], w[~finite], equal_nan=True)
+    ulps = np.abs(g[finite] - w[finite]) / np.spacing(np.abs(w[finite]))
+    assert ulps.max() <= max_ulp
+
+
 def test_check_ha_exponential_threshold(exponential):
     # psi(s) <= psi(a s)/2 for e^{-s} holds from s = ln2/(1-a)
     for a in (0.25, 0.5):
