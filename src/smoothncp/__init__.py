@@ -12,55 +12,13 @@ the first access to one of their names, or to the module itself, imports it.
 
 from importlib import import_module
 
-from .kernels import (
-    AnalyticBranch,
-    PhiLambdaParams,
-    SmoothingKernel,
-    kernel_from_selector,
-    make_exponential,
-    make_phi_lambda,
-    make_rational,
-)
-from .ncp import (
-    ErrorModulus,
-    EvaluationError,
-    NcpProblem,
-    error_bound,
-    feas_metric,
-    quadratic_modulus,
-    res_metric,
-)
-from .problems import (
-    ProblemSpec,
-    active_set_solve,
-    analytic2d,
-    hp_hard,
-    kojima_shindo,
-    linear_spd,
-    nash_cournot,
-    problem_from_selector,
-    scalable_monotone,
-)
-from .smoothing import (
-    EvalCounter,
-    fd_jacobian,
-    g_r,
-    g_r_partials,
-    h_r,
-    h_r_jacobian,
-)
-from .solver import (
-    InnerResult,
-    InnerStatus,
-    SolveReport,
-    SolveStatus,
-    SolverConfig,
-    TracePoint,
-    continuation_solve,
-    newton_inner,
-    r_init,
-    r_update,
-)
+# each module's __all__ is its public surface, and the package re-exports it
+from . import kernels, ncp, problems, smoothing, solver
+from .kernels import *
+from .ncp import *
+from .problems import *
+from .smoothing import *
+from .solver import *
 
 __version__ = "0.1.0"
 
@@ -103,60 +61,7 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "AnalysisReport",
-    "AnalyticBranch",
-    "BenchRun",
-    "EvalCounter",
-    "ErrorModulus",
-    "EvaluationError",
-    "HaReport",
-    "InnerResult",
-    "InnerStatus",
-    "LimitEstimate",
-    "NcpProblem",
-    "PhiLambdaParams",
-    "ProblemSpec",
-    "SmoothingKernel",
-    "SolveReport",
-    "SolveStatus",
-    "SolverConfig",
-    "TracePoint",
-    "active_set_solve",
-    "analytic2d",
-    "check_Ha",
-    "check_concavity",
-    "check_speed_bound",
-    "check_subadditivity",
-    "continuation_solve",
-    "error_bound",
-    "fd_jacobian",
-    "feas_metric",
-    "g_hessian_entries",
-    "g_r",
-    "g_r_deriv_r",
-    "g_r_partials",
-    "generate_starts",
-    "h_r",
-    "h_r_jacobian",
-    "hp_hard",
-    "kernel_from_selector",
-    "kojima_shindo",
-    "l_function",
-    "limit_probe",
-    "linear_spd",
-    "log_grid",
-    "make_exponential",
-    "make_phi_lambda",
-    "make_rational",
-    "nash_cournot",
-    "newton_inner",
-    "problem_from_selector",
-    "quadratic_modulus",
-    "r_init",
-    "r_update",
-    "res_metric",
-    "run_bench",
-    "scalable_monotone",
-    "v_function",
-]
+__all__ = sorted(
+    [name for module in (kernels, ncp, problems, smoothing, solver) for name in module.__all__]
+    + [name for name, module in _LAZY.items() if name != module]
+)

@@ -4,7 +4,8 @@ Subcommands: `solve` (single runs from a vector of ones), `bench` (the
 full protocol: 11 starts per problem, worst-case aggregation), `trace`
 (per-iteration CSV dumps for trajectory plots), `analyze` (kernel
 property checks emitting JSON).  Exit codes: 0 all converged / property
-holds, 1 failure or violation, 2 usage error.
+holds, 1 failure or violation, 2 usage error or a kernel whose arithmetic
+fails on the requested check.
 """
 
 from __future__ import annotations
@@ -109,42 +110,35 @@ def run_bench(run: BenchRun):
     cfg = SolverConfig(outer_tol=run.tol)
     rows = []
     detail = []
-    all_ok = True
     for pspec in run.problems:
         problem = pspec.build()
         starts = generate_starts(problem.n, run.starts_per_problem, run.rng_seed)
         for ksel in run.kernels:
             kernel = kernel_from_selector(ksel)
             reports = [continuation_solve(problem, kernel, x0, cfg) for x0 in starts]
-            conv = [rep for rep in reports if rep.status is SolveStatus.CONVERGED]
-            pool = conv if conv else reports
-            rows.append({
+            records = [{
                 "problem": problem.name,
                 "n": problem.n,
                 "kernel": ksel,
-                "OutIter": max(rep.out_iter for rep in reports),
-                "InIter": max(rep.in_iter for rep in reports),
-                "Res": max(rep.res for rep in pool),
-                "Feas": max(rep.feas for rep in pool),
-                "converged": f"{len(conv)}/{len(reports)}",
-                "wall_s": sum(rep.wall_time for rep in reports),
+                "start": i,
+                "status": rep.status.value,
+                "OutIter": rep.out_iter,
+                "InIter": rep.in_iter,
+                "Res": rep.res,
+                "Feas": rep.feas,
+                "wall_s": rep.wall_time,
+            } for i, rep in enumerate(reports)]
+            conv = [rec for rec in records if rec["status"] == SolveStatus.CONVERGED.value]
+            pool = conv or records
+            rows.append({
+                **{key: records[0][key] for key in ("problem", "n", "kernel")},
+                **{key: max(rec[key] for rec in records) for key in ("OutIter", "InIter")},
+                **{key: max(rec[key] for rec in pool) for key in ("Res", "Feas")},
+                "converged": f"{len(conv)}/{len(records)}",
+                "wall_s": sum(rec["wall_s"] for rec in records),
             })
-            if len(conv) < len(reports):
-                all_ok = False
-            for i, rep in enumerate(reports):
-                detail.append({
-                    "problem": problem.name,
-                    "n": problem.n,
-                    "kernel": ksel,
-                    "start": i,
-                    "status": rep.status.value,
-                    "OutIter": rep.out_iter,
-                    "InIter": rep.in_iter,
-                    "Res": rep.res,
-                    "Feas": rep.feas,
-                    "wall_s": rep.wall_time,
-                })
-    return rows, detail, all_ok
+            detail.extend(records)
+    return rows, detail, all(rec["status"] == SolveStatus.CONVERGED.value for rec in detail)
 
 
 def _fmt_cell(key, value):
@@ -153,6 +147,16 @@ def _fmt_cell(key, value):
     if key == "wall_s":
         return f"{value:.3f}"
     return str(value)
+
+
+def _table(columns, records, md: bool) -> list:
+    """The header and one line per record, as a markdown table or as CSV."""
+    lines = [columns] + [[_fmt_cell(key, rec[key]) for key in columns] for rec in records]
+    if not md:
+        return [",".join(cells) for cells in lines]
+    lines = ["| " + " | ".join(cells) + " |" for cells in lines]
+    lines.insert(1, "|" + "|".join("---" for _ in columns) + "|")
+    return lines
 
 
 def format_table(rows, fmt: str, detail=None) -> str:
@@ -166,33 +170,14 @@ def format_table(rows, fmt: str, detail=None) -> str:
         if detail is not None:
             payload["per_start"] = detail
         return json.dumps(payload, indent=2, default=_np_default)
-    main_cells = [[_fmt_cell(k, row[k]) for k in BENCH_COLUMNS] for row in rows]
-    detail_cells = None
-    if detail is not None:
-        detail_cells = [[_fmt_cell(k, d[k]) for k in DETAIL_COLUMNS] for d in detail]
-    if fmt == "csv":
-        out = [f"# {note}" for note in _BENCH_NOTES]
-        out.append(",".join(BENCH_COLUMNS))
-        out.extend(",".join(cells) for cells in main_cells)
-        if detail_cells is not None:
-            out.append("# per-start detail")
-            out.append(",".join(DETAIL_COLUMNS))
-            out.extend(",".join(cells) for cells in detail_cells)
-        return "\n".join(out)
-    if fmt != "md":
+    if fmt not in ("md", "csv"):
         raise ValueError(f"unknown output format {fmt!r}")
-    out = [f"> {note}" for note in _BENCH_NOTES]
-    out.append("")
-    out.append("| " + " | ".join(BENCH_COLUMNS) + " |")
-    out.append("|" + "|".join("---" for _ in BENCH_COLUMNS) + "|")
-    out.extend("| " + " | ".join(cells) + " |" for cells in main_cells)
-    if detail_cells is not None:
-        out.append("")
-        out.append("per-start detail")
-        out.append("")
-        out.append("| " + " | ".join(DETAIL_COLUMNS) + " |")
-        out.append("|" + "|".join("---" for _ in DETAIL_COLUMNS) + "|")
-        out.extend("| " + " | ".join(cells) + " |" for cells in detail_cells)
+    md = fmt == "md"
+    out = [("> " if md else "# ") + note for note in _BENCH_NOTES] + ([""] if md else [])
+    out += _table(BENCH_COLUMNS, rows, md)
+    if detail is not None:
+        out += ["", "per-start detail", ""] if md else ["# per-start detail"]
+        out += _table(DETAIL_COLUMNS, detail, md)
     return "\n".join(out)
 
 
@@ -233,57 +218,45 @@ def run_trace(problem: NcpProblem, kernel_selectors, x0, cfg: SolverConfig | Non
 def run_analyze(kernel_selector: str, check: str, a: float = 0.25, s_max: float = 50.0) -> dict:
     """Dispatch one property check and return a JSON-ready dict."""
     kernel = kernel_from_selector(kernel_selector)
+    head = {"check": check, "kernel": kernel.name}
     if check == "ha":
         rep = check_Ha(kernel, a=a, s_max=s_max)
         return {
-            "check": "ha",
-            "kernel": kernel.name,
+            **head,
             "outcome": "holds" if rep.satisfied else "violated",
             "a": rep.a,
             "s_max": rep.s_max,
             "holds_from": rep.holds_from,
             "violated_at": rep.violated_at,
         }
+    if check == "subadd_v":
+        grid = log_grid(0.01, 100.0, points_per_decade=16)
+        rep = check_subadditivity(lambda y: v_function(kernel, y), grid, name="V")
+        return {**head, **dataclasses.asdict(rep)}
+    if check == "concavity":
+        rep = check_concavity(kernel, log_grid(0.1, 10.0, points_per_decade=32))
+        return {**head, **dataclasses.asdict(rep)}
     if check == "limits":
         # the limit depends on the kernel tail (min(s,t) or a strict
         # underestimate of it); what always holds is limit <= min(s,t)
         probes = []
-        ok = True
         for s, t in _ANALYZE_PAIRS:
             est = limit_probe(kernel, s, t)
-            defect = est.limit - min(s, t)
-            good = est.consistent and defect <= 1e-9
-            ok = ok and good
             probes.append({
                 "s": s, "t": t,
                 "limit": est.limit,
                 "min": min(s, t),
-                "defect": defect,
+                "defect": est.limit - min(s, t),
                 "consistent": est.consistent,
             })
-        return {
-            "check": "limits",
-            "kernel": kernel.name,
-            "outcome": "holds" if ok else "violated",
-            "probes": probes,
-        }
-    if check == "subadd_v":
-        grid = log_grid(0.01, 100.0, points_per_decade=16)
-        rep = check_subadditivity(lambda y: v_function(kernel, y), grid, name="V")
-        return {"check": "subadd_v", "kernel": kernel.name, **dataclasses.asdict(rep)}
-    if check == "concavity":
-        rep = check_concavity(kernel, log_grid(0.1, 10.0, points_per_decade=32))
-        return {"check": "concavity", "kernel": kernel.name, **dataclasses.asdict(rep)}
-    if check == "speed":
+        ok = all(p["consistent"] and p["defect"] <= 1e-9 for p in probes)
+    elif check == "speed":
         reports = [check_speed_bound(kernel, s, t, r0=1.0) for s, t in _ANALYZE_PAIRS]
-        ok = all(r.holds for r in reports)
-        return {
-            "check": "speed",
-            "kernel": kernel.name,
-            "outcome": "holds" if ok else "violated",
-            "probes": [dataclasses.asdict(r) for r in reports],
-        }
-    raise ValueError(f"unknown check {check!r}")
+        ok = all(rep.holds for rep in reports)
+        probes = [dataclasses.asdict(rep) for rep in reports]
+    else:
+        raise ValueError(f"unknown check {check!r}")
+    return {**head, "outcome": "holds" if ok else "violated", "probes": probes}
 
 
 def _np_default(obj):
@@ -310,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve_p = sub.add_parser("solve", help="solve problems from a vector of ones")
+    solve_p.set_defaults(run=_cmd_solve)
     solve_p.add_argument("--problem", action="append",
                          help="problem selector, repeatable (default analytic2d)")
     solve_p.add_argument("--theta", action="append",
@@ -318,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--out", default=None)
 
     bench_p = sub.add_parser("bench", help="run the benchmark protocol and print a table")
+    bench_p.set_defaults(run=_cmd_bench)
     bench_p.add_argument("--problem", action="append",
                          help="problem selector, repeatable (default: the shipped suite)")
     bench_p.add_argument("--theta", action="append",
@@ -331,12 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append per-start rows to the table")
 
     trace_p = sub.add_parser("trace", help="dump per-iteration trajectories as CSV")
+    trace_p.set_defaults(run=_cmd_trace)
     trace_p.add_argument("--problem", default="analytic2d")
     trace_p.add_argument("--theta", action="append")
     trace_p.add_argument("--tol", type=float, default=1e-8)
     trace_p.add_argument("--out", default=None)
 
     analyze_p = sub.add_parser("analyze", help="run one kernel property check, emit JSON")
+    analyze_p.set_defaults(run=_cmd_analyze)
     analyze_p.add_argument("--theta", action="append",
                            help="kernel selector (first one is used; default exp)")
     analyze_p.add_argument("--check", required=True,
@@ -399,17 +376,10 @@ def _cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        return _cmd_analyze(args)
-    except ValueError as exc:
+        return args.run(args)
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

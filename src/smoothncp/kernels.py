@@ -425,12 +425,15 @@ def make_phi_lambda(params: PhiLambdaParams) -> SmoothingKernel:
     make_exponential() when d = 1).  For lam > 1 the power branch
     psi(x) = (c1*x + 1)^(-1/(lam-1)) is spliced at x0 = -1/(2*c1) (see
     _spliced).  ValueError is raised where x0, psi(x0) or psi'(x0) overflows:
-    lam within about 1e-3 of 1, or an extreme c1.
+    lam within about 1e-3 of 1, or an extreme c1.  It is also raised for a
+    kernel that is degenerate in floating point, with psi(1) rounding to 1
+    or to a subnormal or zero value: a p = 1/(lam-1) or a rate d so small or
+    so large that psi cannot be told from a constant.
     """
     if params.lam == 1.0:
         if params.d == 1.0:
             return make_exponential()
-        return _make_exponential_family(params.d, f"phi:1:{params.d:g}")
+        return _nondegenerate(_make_exponential_family(params.d, f"phi:1:{params.d:g}"))
 
     lam, c = float(params.lam), float(params.c1)
     p = 1.0 / (lam - 1.0)
@@ -455,7 +458,16 @@ def make_phi_lambda(params: PhiLambdaParams) -> SmoothingKernel:
         x_low=-1.0 / c,
     )
     name = f"phi:{lam:g}" if c == 1.0 else f"phi:{lam:g}:{c:g}"
-    return SmoothingKernel(name=name, **_spliced(branch, _theta_main, x0, psi0, slope))
+    kernel = SmoothingKernel(name=name, **_spliced(branch, _theta_main, x0, psi0, slope))
+    return _nondegenerate(kernel)
+
+
+def _nondegenerate(kernel: SmoothingKernel) -> SmoothingKernel:
+    """The kernel, or ValueError unless psi(1) is a normal float below 1."""
+    psi1 = kernel.psi(1.0)
+    if not np.finfo(float).tiny <= psi1 < 1.0:
+        raise ValueError(f"kernel {kernel.name} is degenerate in floating point: psi(1) = {psi1:g}")
+    return kernel
 
 
 def kernel_from_selector(selector: str) -> SmoothingKernel:
@@ -478,5 +490,7 @@ def kernel_from_selector(selector: str) -> SmoothingKernel:
             extra = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ValueError(f"malformed kernel selector {selector!r}") from exc
-        return make_phi_lambda(PhiLambdaParams(lam=lam, c1=extra, d=extra))
+        return make_phi_lambda(
+            PhiLambdaParams(lam=lam, d=extra) if lam == 1.0 else PhiLambdaParams(lam=lam, c1=extra)
+        )
     raise ValueError(f"unknown kernel selector {selector!r}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smoothncp import BenchRun, ProblemSpec, generate_starts, run_bench
-from smoothncp.cli import format_table, main, run_trace
+from smoothncp.cli import format_table, main, run_analyze, run_trace
 
 COLUMNS = ["problem", "n", "kernel", "OutIter", "InIter", "Res", "Feas", "converged", "wall_s"]
 
@@ -149,6 +149,110 @@ def test_format_json():
     assert list(doc["rows"][0].keys()) == COLUMNS
 
 
+# Hand-written rows pin the rendered text: notes, layout and cell formats.
+PINNED_ROWS = [
+    {"problem": "analytic2d", "n": 2, "kernel": "rational", "OutIter": 7, "InIter": 33,
+     "Res": 1.0e-08, "Feas": 0.0, "converged": "2/2", "wall_s": 0.0234},
+    {"problem": "analytic2d", "n": 2, "kernel": "exp", "OutIter": 5, "InIter": 29,
+     "Res": 2.27e-11, "Feas": 3.865e-12, "converged": "1/2", "wall_s": 0.0271},
+]
+PINNED_DETAIL = [
+    {"problem": "analytic2d", "n": 2, "kernel": "exp", "start": 0, "status": "converged",
+     "OutIter": 5, "InIter": 29, "Res": 2.27e-11, "Feas": 3.865e-12, "wall_s": 0.0124},
+    {"problem": "analytic2d", "n": 2, "kernel": "exp", "start": 1,
+     "status": "max_outer_exceeded", "OutIter": 5, "InIter": 12, "Res": 0.5, "Feas": 1.25,
+     "wall_s": 0.0146},
+]
+NOTES = [
+    "worst-case aggregation per (problem, kernel): max OutIter and InIter over all starts, "
+    "max Res and Feas over converged starts, converged = count/starts",
+    "monotone:* rows are a synthetic tridiagonal family standing in for cited test problems "
+    "whose definitions are not recoverable",
+    "wall_s is elapsed wall-clock seconds (time.perf_counter), not CPU time; it is not "
+    "reproducible and excluded from every comparison",
+]
+MD_MAIN = [
+    "| problem | n | kernel | OutIter | InIter | Res | Feas | converged | wall_s |",
+    "|---|---|---|---|---|---|---|---|---|",
+    "| analytic2d | 2 | rational | 7 | 33 | 1.000e-08 | 0.000e+00 | 2/2 | 0.023 |",
+    "| analytic2d | 2 | exp | 5 | 29 | 2.270e-11 | 3.865e-12 | 1/2 | 0.027 |",
+]
+MD_DETAIL = [
+    "",
+    "per-start detail",
+    "",
+    "| problem | n | kernel | start | status | OutIter | InIter | Res | Feas | wall_s |",
+    "|---|---|---|---|---|---|---|---|---|---|",
+    "| analytic2d | 2 | exp | 0 | converged | 5 | 29 | 2.270e-11 | 3.865e-12 | 0.012 |",
+    "| analytic2d | 2 | exp | 1 | max_outer_exceeded | 5 | 12 | 5.000e-01 | 1.250e+00 | 0.015 |",
+]
+CSV_MAIN = [
+    "problem,n,kernel,OutIter,InIter,Res,Feas,converged,wall_s",
+    "analytic2d,2,rational,7,33,1.000e-08,0.000e+00,2/2,0.023",
+    "analytic2d,2,exp,5,29,2.270e-11,3.865e-12,1/2,0.027",
+]
+CSV_DETAIL = [
+    "# per-start detail",
+    "problem,n,kernel,start,status,OutIter,InIter,Res,Feas,wall_s",
+    "analytic2d,2,exp,0,converged,5,29,2.270e-11,3.865e-12,0.012",
+    "analytic2d,2,exp,1,max_outer_exceeded,5,12,5.000e-01,1.250e+00,0.015",
+]
+
+
+def test_format_md_text():
+    head = [f"> {note}" for note in NOTES] + [""]
+    assert format_table(PINNED_ROWS, "md") == "\n".join(head + MD_MAIN)
+    assert format_table(PINNED_ROWS, "md", PINNED_DETAIL) == "\n".join(head + MD_MAIN + MD_DETAIL)
+
+
+def test_format_csv_text():
+    head = [f"# {note}" for note in NOTES]
+    assert format_table(PINNED_ROWS, "csv") == "\n".join(head + CSV_MAIN)
+    assert format_table(PINNED_ROWS, "csv", PINNED_DETAIL) == "\n".join(
+        head + CSV_MAIN + CSV_DETAIL
+    )
+
+
+def test_format_json_text():
+    doc = {"notes": NOTES, "columns": COLUMNS, "rows": PINNED_ROWS}
+    assert format_table(PINNED_ROWS, "json") == json.dumps(doc, indent=2)
+    doc["per_start"] = PINNED_DETAIL
+    assert format_table(PINNED_ROWS, "json", PINNED_DETAIL) == json.dumps(doc, indent=2)
+
+
+def test_format_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        format_table(PINNED_ROWS, "xml")
+
+
+# --- analyze -----------------------------------------------------------------------------
+
+REPORT_KEYS = ["check", "kernel", "property", "grid", "outcome", "max_defect", "witness", "details"]
+PROBE_KEYS = {
+    "limits": ["s", "t", "limit", "min", "defect", "consistent"],
+    "speed": REPORT_KEYS[2:],
+}
+
+
+@pytest.mark.parametrize(
+    "check, keys",
+    [
+        ("ha", ["check", "kernel", "outcome", "a", "s_max", "holds_from", "violated_at"]),
+        ("limits", ["check", "kernel", "outcome", "probes"]),
+        ("subadd_v", REPORT_KEYS),
+        ("concavity", REPORT_KEYS),
+        ("speed", ["check", "kernel", "outcome", "probes"]),
+    ],
+)
+def test_analyze_key_order(check, keys):
+    result = run_analyze("rational", check)
+    assert list(result) == keys
+    assert result["check"] == check and result["kernel"] == "rational"
+    assert result["outcome"] == "holds"
+    if check in PROBE_KEYS:
+        assert [list(probe) for probe in result["probes"]] == [PROBE_KEYS[check]] * 4
+
+
 # --- trace -------------------------------------------------------------------------------
 
 
@@ -187,6 +291,15 @@ def test_main_analyze_rejects_degenerate_kernels(selector, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_main_reports_kernel_arithmetic_errors(capsys):
+    # phi:1.002 builds (psi(1) = 3e-151), but psi underflows inside the
+    # speed check's soft-min: exit 2 with a message, no traceback
+    assert main(["analyze", "--theta", "phi:1.002", "--check", "speed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: soft-min evaluation left the representable range of psi\n"
 
 
 def test_main_rejects_unknown_check(capsys):

@@ -166,6 +166,65 @@ def test_phi_lambda_rejects_degenerate_selectors(selector):
             kernel_from_selector(selector)
 
 
+@pytest.mark.parametrize(
+    "selector, psi1",
+    [
+        ("phi:1e17", "1"),  # p = 1e-17
+        ("phi:1:1e300", "0"),
+        ("phi:1:1e-320", "1"),  # a subnormal rate
+        ("phi:1:745", "4.94066e-324"),  # a subnormal psi(1)
+    ],
+)
+def test_phi_lambda_rejects_kernels_degenerate_in_floating_point(selector, psi1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"degenerate in floating point: psi\(1\) = {psi1}$"):
+            kernel_from_selector(selector)
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [
+        "rational", "exp", "phi:3", "phi:1.5", "phi:2", "phi:2.5", "phi:3:2",
+        "phi:1.25:0.5", "phi:1:0.5", "phi:1:2", "phi:1:3",
+        "phi:1.001",  # psi(1) = 2^-1000 = 9.3e-302
+    ],
+)
+def test_used_selectors_build(selector):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi1 = kernel_from_selector(selector).psi(1.0)
+    assert np.finfo(float).tiny <= psi1 < 1.0
+
+
+@pytest.mark.parametrize(
+    "selector, parameter",
+    [("phi:1:inf", "d"), ("phi:1:0", "d"), ("phi:3:inf", "c1"), ("phi:3:0", "c1")],
+)
+def test_selector_error_names_the_trailing_parameter(selector, parameter):
+    # the trailing value is the rate d for lambda = 1 and c1 otherwise
+    with pytest.raises(ValueError, match=f"requires a finite {parameter} > 0$"):
+        kernel_from_selector(selector)
+
+
+@pytest.mark.parametrize(
+    "selector, params, closed_form",
+    [
+        ("phi:1:2", PhiLambdaParams(1.0, d=2.0), lambda t: np.exp(-2.0 * t)),
+        ("phi:1:3", PhiLambdaParams(1.0, d=3.0), lambda t: np.exp(-3.0 * t)),
+        ("phi:3:2", PhiLambdaParams(3.0, c1=2.0), lambda t: (2.0 * t + 1.0) ** -0.5),
+    ],
+)
+def test_selector_trailing_value(selector, params, closed_form):
+    kern, ref = kernel_from_selector(selector), make_phi_lambda(params)
+    assert kern.name == ref.name == selector
+    t = np.linspace(-3.0, 20.0, 231)
+    for fn in ("theta", "psi", "dpsi", "d2psi"):
+        assert np.array_equal(getattr(kern, fn)(t), getattr(ref, fn)(t))
+    branch = t[t >= 0.0]
+    np.testing.assert_allclose(kern.psi(branch), closed_form(branch), rtol=1e-14)
+
+
 # --- the splice, bit for bit ------------------------------------------------------
 #
 # The rational and phi_lambda kernels written out piece by piece, each
