@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .kernels import SmoothingKernel
-from .smoothing import g_r, g_r_partials
+from .smoothing import _psi_sum, g_r, g_r_partials
 
 __all__ = [
     "AnalysisReport",
@@ -123,24 +123,18 @@ class HaReport:
         return self.holds_from is not None
 
 
-def check_Ha(
-    kernel: SmoothingKernel,
-    a: float,
-    s_max: float,
-    decades: int = 6,
-    points_per_decade: int = 64,
-) -> HaReport:
+def check_Ha(kernel: SmoothingKernel, a: float, s_max: float) -> HaReport:
     """Scan psi(s) <= psi(a*s)/2 on a geometric grid ending at s_max.
 
-    The scan covers `decades` decades below s_max with points_per_decade
-    points each.  Failures inside the last decade are reported as a
-    violation; otherwise the empirical threshold is returned.
+    The scan covers the 6 decades below s_max with 64 points each.
+    Failures inside the last decade are reported as a violation; otherwise
+    the empirical threshold is returned.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("check_Ha requires 0 < a < 1")
     _finite_positive(s_max, "check_Ha's s_max")
-    n = decades * points_per_decade + 1
-    grid = np.geomspace(s_max * 10.0 ** (-decades), s_max, n)
+    n = 6 * 64 + 1
+    grid = np.geomspace(s_max * 1e-6, s_max, n)
     ok = kernel.psi(grid) <= 0.5 * kernel.psi(a * grid)
     if bool(ok.all()):
         return HaReport(kernel.name, a, s_max, n, holds_from=float(grid[0]))
@@ -233,7 +227,9 @@ def g_hessian_entries(kernel: SmoothingKernel, s, t):
 
         R = (psi''(s) W^2 - psi'(s)^2 U) / W^3,     W = psi'(G), U = psi''(G).
 
-    Arguments must lie inside the analytic domain (x > x_low).
+    Arguments must lie inside the analytic domain (x > x_low).  Where
+    psi(s) + psi(t) is not finite and positive, FloatingPointError is raised,
+    as g_r raises it.
     """
     if kernel.analytic is None:
         raise ValueError(f"kernel {kernel.name} has no analytic branch")
@@ -244,8 +240,7 @@ def g_hessian_entries(kernel: SmoothingKernel, s, t):
         raise ValueError(
             f"arguments must exceed the analytic-domain bound {br.x_low:g}"
         )
-    y = br.psi(s_) + br.psi(t_)
-    mid = br.psi_inv(y)
+    mid = br.psi_inv(_psi_sum(br.psi, s_, t_))
     w = np.asarray(br.dpsi(mid), dtype=float)
     u = np.asarray(br.d2psi(mid), dtype=float)
     w3 = w**3
@@ -255,16 +250,12 @@ def g_hessian_entries(kernel: SmoothingKernel, s, t):
     return r_entry, t_entry, s_entry
 
 
-def check_concavity(
-    kernel: SmoothingKernel,
-    s_grid: np.ndarray,
-    t_grid: np.ndarray | None = None,
-) -> AnalysisReport:
+def check_concavity(kernel: SmoothingKernel, grid: np.ndarray) -> AnalysisReport:
     """Check concavity of the soft-min on a positive grid, two ways.
 
-    Route one verifies R <= 0, T <= 0 and R*T - S^2 >= -slack at every grid
-    point.  Route two verifies that L is non-increasing and sub-additive on
-    the alpha-grid induced by psi.  The property holds only if both routes
+    Route one verifies R <= 0, T <= 0 and R*T - S^2 >= -slack at every point
+    (s, t) of grid x grid.  Route two verifies that L is non-increasing and
+    sub-additive on the alpha-grid induced by psi.  The property holds only if both routes
     agree that it does; a disagreement is reported as a violation with the
     failing route in the witness.
 
@@ -274,25 +265,24 @@ def check_concavity(
     block sizes, not by the grid size.  The Hessian witness is the first
     NaN defect in row-major (s, t) order, else the first largest one.
     """
-    s_grid = _finite_positive(s_grid, "s_grid", grid=True)
-    t_grid = s_grid if t_grid is None else _finite_positive(t_grid, "t_grid", grid=True)
+    grid = _finite_positive(grid, "grid", grid=True)
     # the Hessian route runs over blocks of s rows and keeps only the worst
     # defect and its row-major position: the first NaN, else the first max
-    rows = max(1, _HESSIAN_BLOCK // t_grid.size)
+    rows = max(1, _HESSIAN_BLOCK // grid.size)
     hess_max, worst = -math.inf, 0
-    for i0 in range(0, s_grid.size, rows):
+    for i0 in range(0, grid.size, rows):
         r_e, t_e, s_e = g_hessian_entries(
-            kernel, s_grid[i0:i0 + rows, None], t_grid[None, :]
+            kernel, grid[i0:i0 + rows, None], grid[None, :]
         )
         det_defect = s_e**2 - r_e * t_e - HESSIAN_DET_SLACK
         defect = np.maximum(np.maximum(r_e, t_e), det_defect)
         k = int(np.argmax(defect))
         d = float(defect.flat[k])
         if d > hess_max or (math.isnan(d) and not math.isnan(hess_max)):
-            hess_max, worst = d, i0 * t_grid.size + k
+            hess_max, worst = d, i0 * grid.size + k
     hess_ok = hess_max <= 0.0
 
-    alphas = np.sort(np.asarray(kernel.analytic.psi(s_grid), dtype=float))
+    alphas = np.sort(np.asarray(kernel.analytic.psi(grid), dtype=float))
     lvals = np.asarray(l_function(kernel, alphas), dtype=float)
     mono_defect = float((lvals[1:] - lvals[:-1]).max() - SUBADD_SLACK)
     sub_report = check_subadditivity(
@@ -300,10 +290,8 @@ def check_concavity(
     )
     l_ok = mono_defect <= 0.0 and sub_report.holds
 
-    desc = (
-        f"{s_grid.size}x{t_grid.size} pts in "
-        f"[{s_grid[0]:g}, {s_grid[-1]:g}]x[{t_grid[0]:g}, {t_grid[-1]:g}]"
-    )
+    span = f"[{grid[0]:g}, {grid[-1]:g}]"
+    desc = f"{grid.size}x{grid.size} pts in {span}x{span}"
     details = {
         "hessian_route": "holds" if hess_ok else "violated",
         "l_route": "holds" if l_ok else "violated",
@@ -320,11 +308,11 @@ def check_concavity(
             details=details,
         )
     if not hess_ok:
-        i, j = divmod(worst, t_grid.size)
-        r_e, t_e, s_e = g_hessian_entries(kernel, s_grid[i], t_grid[j])
+        i, j = divmod(worst, grid.size)
+        r_e, t_e, s_e = g_hessian_entries(kernel, grid[i], grid[j])
         witness = {
-            "s": float(s_grid[i]),
-            "t": float(t_grid[j]),
+            "s": float(grid[i]),
+            "t": float(grid[j]),
             "R": float(r_e),
             "T": float(t_e),
             "S": float(s_e),
@@ -352,9 +340,10 @@ def check_concavity(
     )
 
 
-_DEFAULT_PROBE = (1e-6, 1e-7, 1e-8)
-_DEFAULT_PROBE_R = np.array(_DEFAULT_PROBE)
-_DEFAULT_PROBE_R.flags.writeable = False
+# the r sequence of limit_probe
+_PROBE = (1e-6, 1e-7, 1e-8)
+_PROBE_R = np.array(_PROBE)
+_PROBE_R.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -374,14 +363,11 @@ class LimitEstimate:
     consistent: bool
 
 
-def limit_probe(
-    kernel: SmoothingKernel, s: float, t: float, r_seq: Sequence[float] | None = None
-) -> LimitEstimate:
-    """Probe the r -> 0 limit of g_r(s, t) along a decreasing r sequence.
+def limit_probe(kernel: SmoothingKernel, s: float, t: float) -> LimitEstimate:
+    """Probe the r -> 0 limit of g_r(s, t) along r = 1e-6, 1e-7, 1e-8.
 
-    The default r_seq is the fixed probe r = 1e-6, 1e-7, 1e-8.  Unlike the
-    default sweep of check_speed_bound, r0 times a fixed 25-point sweep
-    from 1 to 1e-6, it does not scale with r0.  The whole sequence is
+    Unlike the sweep of check_speed_bound, r0 times a fixed 25-point sweep
+    from 1 to 1e-6, the probe does not scale with r0.  The whole sequence is
     evaluated in one call through the homogeneity
     g_r(s, t) = r * g_1(s/r, t/r).  s and t must be finite, and so must s/r
     and t/r at the smallest r; otherwise ValueError is raised.
@@ -389,40 +375,22 @@ def limit_probe(
     s, t = float(s), float(t)
     if not (math.isfinite(s) and math.isfinite(t)):
         raise ValueError("limit_probe's s and t must be finite")
-    if r_seq is None:
-        rs, r_arr = _DEFAULT_PROBE, _DEFAULT_PROBE_R
-    else:
-        rs = tuple(float(r) for r in r_seq)
-        if not rs or any(r <= 0.0 for r in rs) or any(
-            a <= b for a, b in zip(rs, rs[1:])
-        ):
-            raise ValueError("r_seq must be positive and strictly decreasing")
-        r_arr = np.asarray(rs)
-    if not (math.isfinite(s / rs[-1]) and math.isfinite(t / rs[-1])):
+    if not (math.isfinite(s / _PROBE[-1]) and math.isfinite(t / _PROBE[-1])):
         raise ValueError("limit_probe's s/r and t/r must be finite at the smallest r")
-    g1 = np.asarray(g_r(kernel, s / r_arr, t / r_arr, 1.0), dtype=float)
-    gs = tuple((r_arr * g1).tolist())
-    limit = _extrapolate(rs, gs)
-    if len(rs) >= 3:
-        d_prev = abs(gs[-2] - gs[-3])
-        d_last = abs(gs[-1] - gs[-2])
-        consistent = d_last <= 0.75 * d_prev + 1e-12
-    else:
-        consistent = True
+    g1 = np.asarray(g_r(kernel, s / _PROBE_R, t / _PROBE_R, 1.0), dtype=float)
+    gs = tuple((_PROBE_R * g1).tolist())
+    consistent = abs(gs[2] - gs[1]) <= 0.75 * abs(gs[1] - gs[0]) + 1e-12
     return LimitEstimate(
-        s=s, t=t, r_values=rs, g_values=gs, limit=limit,
+        s=s, t=t, r_values=_PROBE, g_values=gs, limit=_extrapolate(gs),
         consistent=consistent,
     )
 
 
-def _extrapolate(rs: Sequence[float], gs: Sequence[float]) -> float:
-    """The r -> 0 limit from g at the decreasing rs: the line through the
-    last two points, evaluated at r = 0, or the one value given."""
-    if len(rs) < 2:
-        return gs[-1]
-    r1, r2 = rs[-2], rs[-1]
-    f1, f2 = gs[-2], gs[-1]
-    return f2 + (f2 - f1) * r2 / (r1 - r2)
+def _extrapolate(gs) -> float:
+    """The r -> 0 limit from g at the probe's r: the line through the last
+    two points, evaluated at r = 0."""
+    r1, r2 = _PROBE[1:]
+    return gs[2] + (gs[2] - gs[1]) * r2 / (r1 - r2)
 
 
 def _euler_deriv(f, s, t, ps, pt, r):
@@ -463,31 +431,24 @@ _SPEED_SIDES = ("upper", "lower", "derivative")
 # underflow, which starts near 1e100 for phi:1.5 and 1e200 for phi:3.
 _SPEED_MIN, _SPEED_MAX = 1e-4, 1e4
 _SPEED_MAX_RATIO = 1e16
-# the default r-sweep of check_speed_bound, in units of r0
+# the r-sweep of check_speed_bound, in units of r0
 _UNIT_SWEEP = np.geomspace(1.0, 1e-6, 25)
 _UNIT_SWEEP.flags.writeable = False
 
 
-def check_speed_bound(
-    kernel: SmoothingKernel,
-    s: float,
-    t: float,
-    r0: float,
-    r_seq: Sequence[float] | None = None,
-) -> AnalysisReport:
+def check_speed_bound(kernel: SmoothingKernel, s: float, t: float, r0: float) -> AnalysisReport:
     """Check the linear envelope of r -> f(r) = g_r(s, t) on (0, r0].
 
-    Verifies, at every r in r_seq, the two-sided bound
+    Verifies, at every r of a sweep, the two-sided bound
 
         f(0) - r * (f(0) - f(r0)) / r0 - slack <= f(r) <= f(0) + slack
 
     and the differential inequality r * f'(r) <= f(r) - f(0) + slack using
-    the closed-form derivative.  f(0) is limit_probe's estimate on its
-    default probe.  The default r_seq is r0 times a fixed 25-point
-    geometric sweep from 1 down to 1e-6: its end points are r0 and
-    r0 * 1e-6 exactly, and at r0 = 1 it is np.geomspace(r0, r0 * 1e-6, 25)
-    bit for bit.  Elsewhere its interior points differ from that by
-    rounding, under 1e-14 relative.
+    the closed-form derivative.  f(0) is limit_probe's estimate.  The sweep
+    is r0 times a fixed 25-point geometric sweep from 1 down to 1e-6: its
+    end points are r0 and r0 * 1e-6 exactly, and at r0 = 1 it is
+    np.geomspace(r0, r0 * 1e-6, 25) bit for bit.  Elsewhere its interior
+    points differ from that by rounding, under 1e-14 relative.
 
     s, t and r0 must be finite and positive.  The smallest r of the check,
     in the sweep or in limit_probe, must keep s/r and t/r at most 1e16, and
@@ -497,8 +458,8 @@ def check_speed_bound(
 
     The sweep and the limit probe are evaluated at once through the
     homogeneity g_r(s, t) = r * g_1(s/r, t/r): one soft-min call at
-    (s/r, t/r, 1), over r_seq followed by r = 1e-6, 1e-7, 1e-8, gives f(r)
-    and, by limit_probe's extrapolation, f(0).  With one call for the
+    (s/r, t/r, 1), over the sweep followed by r = 1e-6, 1e-7, 1e-8, gives
+    f(r) and, by limit_probe's extrapolation, f(0).  With one call for the
     partials at the sweep's (s/r, t/r, 1), which are homogeneous of degree
     zero, the same values give r * f'(r) by the Euler relation of
     g_r_deriv_r.  f(r0) is its own call at r0.  The report is the one that
@@ -506,19 +467,12 @@ def check_speed_bound(
     give, bit for bit.  max_defect can differ from a per-r evaluation by
     rounding, up to about 1e-15: the exponential closed form is homogeneous
     only up to rounding, and f'(r) is rounded at (s/r, t/r).  The witness
-    is the first violating r in sequence order, with the side of largest
+    is the first violating r in sweep order, with the side of largest
     defect (ties go to upper, then lower, then derivative).
     """
     s, t, r0 = _finite_positive((s, t, r0), "s, t and r0").tolist()
-    if r_seq is None:
-        rs = r0 * _UNIT_SWEEP
-        r_min = rs[-1]
-    else:
-        rs = np.array([float(r) for r in r_seq])
-        if not np.all((rs > 0.0) & (rs <= r0)):
-            raise ValueError("r_seq must lie in (0, r0]")
-        r_min = rs.min(initial=r0)
-    r_min = min(float(r_min), _DEFAULT_PROBE[-1])
+    rs = r0 * _UNIT_SWEEP
+    r_min = min(float(rs[-1]), _PROBE[-1])
     if not (r_min > 0.0 and max(s, t) / r_min <= _SPEED_MAX_RATIO):
         raise ValueError(
             "the smallest r of the check must be positive and keep s/r and t/r "
@@ -535,11 +489,11 @@ def check_speed_bound(
     # one soft-min call at (s/r, t/r, 1) for the sweep and the limit probe;
     # f(r0) stays a call at r0: r0 * g_1(s/r0, t/r0) can round differently
     n = rs.size
-    r_all = np.concatenate((rs, _DEFAULT_PROBE_R))
+    r_all = np.concatenate((rs, _PROBE_R))
     s_r, t_r = s / r_all, t / r_all
     g1 = np.asarray(g_r(kernel, s_r, t_r, 1.0), dtype=float)
     f_all = r_all * g1
-    f0 = _extrapolate(_DEFAULT_PROBE, f_all[n:].tolist())
+    f0 = _extrapolate(f_all[n:].tolist())
     fr0 = float(g_r(kernel, s, t, r0))
     fr, s_r, t_r, g1 = f_all[:n], s_r[:n], t_r[:n], g1[:n]
     ps, pt = g_r_partials(kernel, s_r, t_r, 1.0)
@@ -548,7 +502,7 @@ def check_speed_bound(
     lower = f0 - rs * (f0 - fr0) / r0 - fr - SPEED_SLACK
     derivative = rdf - (fr - f0) - SPEED_SLACK
     worst = np.maximum(np.maximum(upper, lower), derivative)
-    max_defect = float(worst.max(initial=-math.inf))
+    max_defect = float(worst.max())
     desc = f"s={s:g}, t={t:g}, r0={r0:g}, {rs.size} r values"
     # a NaN max_defect takes the scan below: a NaN defect hides no violation
     violated = () if max_defect <= 0.0 else np.flatnonzero(worst > 0.0)

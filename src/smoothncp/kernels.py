@@ -9,7 +9,8 @@ continuation solver) is parameterised by one of these objects.
 Two named kernels are provided: the rational kernel theta(t) = t/(t+1) on
 t >= 0 (extended linearly below zero) and the exponential kernel
 theta(t) = 1 - exp(-t).  A one-parameter family phi_lambda interpolates
-between them through the ODE (psi')^2 = (1/lambda) * psi * psi''.
+between them through the ODE (psi')^2 = (1/lambda) * psi * psi''.  A
+selector names each of them (kernel_from_selector).
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "AnalyticBranch",
-    "SmoothingKernel",
-    "PhiLambdaParams",
-    "make_rational",
-    "make_exponential",
-    "make_phi_lambda",
-    "kernel_from_selector",
-]
+__all__ = ["AnalyticBranch", "SmoothingKernel", "kernel_from_selector"]
 
 
 def _piecewise(t, in_main, main_fn, other_fn):
@@ -146,28 +139,6 @@ class SmoothingKernel:
     softmin_partials_override: Callable | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
-class PhiLambdaParams:
-    """Parameters of the phi_lambda kernel family.
-
-    lam = 1 gives the exponential kernel with rate d; lam > 1 gives
-    psi(x) = (c1*x + 1)^(-1/(lam-1)) on its power branch.  lam = 2, c1 = 1
-    reproduces the rational kernel on t >= 0.
-    """
-
-    lam: float
-    c1: float = 1.0
-    d: float = 1.0
-
-    def __post_init__(self):
-        if not 1.0 <= self.lam < math.inf:
-            raise ValueError("phi_lambda requires a finite lam >= 1")
-        if not 0.0 < self.c1 < math.inf:
-            raise ValueError("phi_lambda requires a finite c1 > 0")
-        if not 0.0 < self.d < math.inf:
-            raise ValueError("phi_lambda requires a finite d > 0")
-
-
 def _spliced(branch: AnalyticBranch, theta_main, x0, psi0, slope) -> dict:
     """theta, psi, dpsi, d2psi, psi_inv and analytic of a spliced kernel.
 
@@ -198,7 +169,7 @@ def _spliced(branch: AnalyticBranch, theta_main, x0, psi0, slope) -> dict:
     )
 
 
-def make_rational() -> SmoothingKernel:
+def _make_rational() -> SmoothingKernel:
     """Kernel with theta(t) = t/(t+1) for t >= 0 and theta(t) = t below.
 
     The branch psi(x) = 1/(1+x) is spliced at x0 = 0 (see _spliced): psi''
@@ -353,6 +324,12 @@ def make_rational() -> SmoothingKernel:
 
 
 def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
+    """Kernel with theta(t) = 1 - exp(-d t), d = rate; C^2 everywhere.
+
+    Satisfies the halving condition psi(s) <= psi(a*s)/2 for every a in (0,1)
+    once s >= ln(2)/(d (1-a)), so the induced soft-min converges to the exact
+    min.
+    """
     d = float(rate)
 
     def theta(t):
@@ -409,55 +386,51 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
     )
 
 
-def make_exponential() -> SmoothingKernel:
-    """Kernel with theta(t) = 1 - exp(-t); C^2 everywhere.
-
-    Satisfies the halving condition psi(s) <= psi(a*s)/2 for every a in (0,1)
-    once s >= ln(2)/(1-a), so the induced soft-min converges to the exact min.
-    """
-    return _make_exponential_family(1.0, "exp")
-
-
-def make_phi_lambda(params: PhiLambdaParams) -> SmoothingKernel:
+def _make_phi_lambda(lam: float, c1: float = 1.0, d: float = 1.0) -> SmoothingKernel:
     """Kernel from the family (psi')^2 = (1/lam) * psi * psi''.
 
-    lam = 1 returns the exponential kernel with rate d (identical to
-    make_exponential() when d = 1).  For lam > 1 the power branch
-    psi(x) = (c1*x + 1)^(-1/(lam-1)) is spliced at x0 = -1/(2*c1) (see
-    _spliced).  ValueError is raised where x0, psi(x0) or psi'(x0) overflows:
-    lam within about 1e-3 of 1, or an extreme c1.  It is also raised for a
+    lam = 1 returns the exponential kernel with rate d (the "exp" kernel when
+    d = 1).  For lam > 1 the power branch psi(x) = (c1*x + 1)^(-1/(lam-1))
+    is spliced at x0 = -1/(2*c1) (see _spliced); lam = 2, c1 = 1 reproduces
+    the rational kernel on t >= 0.  ValueError is raised unless lam >= 1 and
+    c1, d > 0 are finite, and where x0, psi(x0) or psi'(x0) overflows: lam
+    within about 1e-3 of 1, or an extreme c1.  It is also raised for a
     kernel that is degenerate in floating point, with psi(1) rounding to 1
     or to a subnormal or zero value: a p = 1/(lam-1) or a rate d so small or
     so large that psi cannot be told from a constant.
     """
-    if params.lam == 1.0:
-        if params.d == 1.0:
-            return make_exponential()
-        return _nondegenerate(_make_exponential_family(params.d, f"phi:1:{params.d:g}"))
+    if not 1.0 <= lam < math.inf:
+        raise ValueError("phi_lambda requires a finite lam >= 1")
+    if not 0.0 < c1 < math.inf:
+        raise ValueError("phi_lambda requires a finite c1 > 0")
+    if not 0.0 < d < math.inf:
+        raise ValueError("phi_lambda requires a finite d > 0")
+    if lam == 1.0:
+        name = "exp" if d == 1.0 else f"phi:1:{d:g}"
+        return _nondegenerate(_make_exponential_family(d, name))
 
-    lam, c = float(params.lam), float(params.c1)
     p = 1.0 / (lam - 1.0)
-    x0 = -1.0 / (2.0 * c)
+    x0 = -1.0 / (2.0 * c1)
     try:
-        psi0, slope = 2.0**p, -p * c * 2.0 ** (p + 1.0)  # psi and psi' at x0
+        psi0, slope = 2.0**p, -p * c1 * 2.0 ** (p + 1.0)  # psi and psi' at x0
     except OverflowError:
         psi0 = slope = math.inf  # rejected by _spliced
 
     def _pow(x, q):
-        # (1 + c x)^(-q)
-        return np.exp(-q * np.log1p(c * np.asarray(x, dtype=float)))
+        # (1 + c1 x)^(-q)
+        return np.exp(-q * np.log1p(c1 * np.asarray(x, dtype=float)))
 
     def _theta_main(u):  # 1 - psi on the branch, free of cancellation
-        return c * u / (c * u + 1.0) if p == 1.0 else -np.expm1(-p * np.log1p(c * u))
+        return c1 * u / (c1 * u + 1.0) if p == 1.0 else -np.expm1(-p * np.log1p(c1 * u))
 
     branch = AnalyticBranch(
         psi=lambda x: _pow(x, p),
-        dpsi=lambda x: -p * c * _pow(x, p + 1.0),
-        d2psi=lambda x: p * (p + 1.0) * c * c * _pow(x, p + 2.0),
-        psi_inv=lambda y: np.expm1(-np.log(_require_positive(y, "psi_inv")) / p) / c,
-        x_low=-1.0 / c,
+        dpsi=lambda x: -p * c1 * _pow(x, p + 1.0),
+        d2psi=lambda x: p * (p + 1.0) * c1 * c1 * _pow(x, p + 2.0),
+        psi_inv=lambda y: np.expm1(-np.log(_require_positive(y, "psi_inv")) / p) / c1,
+        x_low=-1.0 / c1,
     )
-    name = f"phi:{lam:g}" if c == 1.0 else f"phi:{lam:g}:{c:g}"
+    name = f"phi:{lam:g}" if c1 == 1.0 else f"phi:{lam:g}:{c1:g}"
     kernel = SmoothingKernel(name=name, **_spliced(branch, _theta_main, x0, psi0, slope))
     return _nondegenerate(kernel)
 
@@ -478,9 +451,9 @@ def kernel_from_selector(selector: str) -> SmoothingKernel:
     """
     sel = selector.strip()
     if sel == "rational":
-        return make_rational()
+        return _make_rational()
     if sel == "exp":
-        return make_exponential()
+        return _make_phi_lambda(1.0)
     if sel.startswith("phi:"):
         parts = sel.split(":")
         if len(parts) not in (2, 3):
@@ -490,7 +463,5 @@ def kernel_from_selector(selector: str) -> SmoothingKernel:
             extra = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ValueError(f"malformed kernel selector {selector!r}") from exc
-        return make_phi_lambda(
-            PhiLambdaParams(lam=lam, d=extra) if lam == 1.0 else PhiLambdaParams(lam=lam, c1=extra)
-        )
+        return _make_phi_lambda(lam, d=extra) if lam == 1.0 else _make_phi_lambda(lam, c1=extra)
     raise ValueError(f"unknown kernel selector {selector!r}")

@@ -1,31 +1,23 @@
 """Test problem catalog: analytic toys, classic benchmarks, random families.
 
-Every constructor returns a fully wired NcpProblem with an analytic
-Jacobian.  Randomized families are deterministic functions of (n, seed).
+A selector names each problem (problem_from_selector, ProblemSpec), and
+every build returns a fully wired NcpProblem with an analytic Jacobian.
+Randomized families are deterministic functions of (n, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ncp import EvaluationError, NcpProblem
 
-__all__ = [
-    "ProblemSpec",
-    "analytic2d",
-    "kojima_shindo",
-    "nash_cournot",
-    "hp_hard",
-    "scalable_monotone",
-    "linear_spd",
-    "active_set_solve",
-    "problem_from_selector",
-]
+__all__ = ["ProblemSpec", "problem_from_selector"]
 
 
-def analytic2d() -> NcpProblem:
+def _analytic2d() -> NcpProblem:
     """Two dimensional polynomial problem with solutions (0,1) and (1,1).
 
     The first component is strictly decreasing, so the problem is not
@@ -54,7 +46,7 @@ def analytic2d() -> NcpProblem:
     )
 
 
-def kojima_shindo() -> NcpProblem:
+def _kojima_shindo() -> NcpProblem:
     """Classic four dimensional quadratic benchmark with two solutions.
 
     (1, 0, 3, 0) is nondegenerate; (sqrt(6)/2, 0, 0, 1/2) is degenerate
@@ -105,7 +97,7 @@ def _signed_power(u, a):
     return np.sign(u) * np.abs(u) ** a
 
 
-def nash_cournot(n: int = 5) -> NcpProblem:
+def _nash_cournot(n: int) -> NcpProblem:
     """Cournot oligopoly equilibrium with isoelastic inverse demand.
 
     Firm i supplies x_i at cost c_i x_i plus a capacity term; F_i is
@@ -113,8 +105,6 @@ def nash_cournot(n: int = 5) -> NcpProblem:
     undefined at Q <= 0, where evaluation raises EvaluationError.  The
     ten firm variant repeats the five firm parameter cycle.
     """
-    if n not in (5, 10):
-        raise ValueError("nash_cournot is defined for n in {5, 10}")
     reps = n // 5
     c = np.tile(_NASH_C, reps)
     beta = np.tile(_NASH_BETA, reps)
@@ -151,14 +141,12 @@ def nash_cournot(n: int = 5) -> NcpProblem:
     )
 
 
-def hp_hard(n: int, seed: int = 0) -> NcpProblem:
+def _hp_hard(n: int, seed: int) -> NcpProblem:
     """Random linear problem Mx + q with M = A'A + skew + small diagonal.
 
     The symmetric part of M is positive semidefinite, so the problem is
     monotone, but conditioning degrades quickly as n grows.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     a = rng.uniform(-5.0, 5.0, (n, n))
     upper = np.triu(rng.uniform(-5.0, 5.0, (n, n)), 1)
@@ -181,14 +169,12 @@ def hp_hard(n: int, seed: int = 0) -> NcpProblem:
     )
 
 
-def scalable_monotone(n: int) -> NcpProblem:
+def _scalable_monotone(n: int) -> NcpProblem:
     """Tridiagonal monotone problem F(x) = Mx + arctan(x) - 1 at any size.
 
     M has 4 on the diagonal and -1 beside it.  It is never formed: F takes
     O(n) and the Jacobian comes as its three bands (tridiagonal=True).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
 
     def eval_F(x):
         mx = 4.0 * x
@@ -211,7 +197,7 @@ def scalable_monotone(n: int) -> NcpProblem:
     )
 
 
-def active_set_solve(m, q, tol: float = 1e-9) -> np.ndarray:
+def _active_set_solve(m, q, tol: float = 1e-9) -> np.ndarray:
     """Exact solution of a linear problem by complementary enumeration.
 
     Tries every active set S: solve M_SS x_S = -q_S with the rest of x at
@@ -242,21 +228,19 @@ def active_set_solve(m, q, tol: float = 1e-9) -> np.ndarray:
     raise RuntimeError("no complementary basis was feasible")
 
 
-def linear_spd(n: int, seed: int = 0) -> NcpProblem:
+def _linear_spd(n: int, seed: int) -> NcpProblem:
     """Strongly monotone linear problem with certified solution and modulus.
 
     M = A'A + I has lambda_min >= 1, so h(u) = lambda_min * u^2 is a valid
     monotonicity modulus.  For n <= 12 the exact solution from the active
     set oracle ships in known_solutions and meta["x_star"].
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, (n, n))
     q = rng.uniform(-2.0, 2.0, n)
     m = a.T @ a + np.eye(n)
     lam_min = float(np.linalg.eigvalsh(m)[0])
-    x_star = active_set_solve(m, q) if n <= 12 else None
+    x_star = _active_set_solve(m, q) if n <= 12 else None
     known = [] if x_star is None else [x_star]
 
     def eval_F(x):
@@ -275,67 +259,65 @@ def linear_spd(n: int, seed: int = 0) -> NcpProblem:
     )
 
 
-_FAMILIES = (
-    "analytic2d",
-    "kojima_shindo",
-    "nash_cournot",
-    "hp_hard",
-    "scalable_monotone",
-    "linear_spd",
-)
+class _Head(NamedTuple):
+    """One selector head of the catalog."""
+
+    id: str  # the family id
+    build: Callable
+    n: int | None  # the size the head fixes, or the least n if fields > 0
+    fields: int = 0  # what follows the head: 1 is :<n>, 2 is :<n>[:<seed>]
+
+
+_CATALOG = {
+    "analytic2d": _Head("analytic2d", _analytic2d, None),
+    "ks": _Head("kojima_shindo", _kojima_shindo, None),
+    "nash5": _Head("nash_cournot", _nash_cournot, 5),
+    "nash10": _Head("nash_cournot", _nash_cournot, 10),
+    "hphard": _Head("hp_hard", _hp_hard, 1, 2),
+    "monotone": _Head("scalable_monotone", _scalable_monotone, 2, 1),
+    "linspd": _Head("linear_spd", _linear_spd, 1, 2),
+}
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parsed problem selector: family id plus size and seed where they apply."""
+    """Parsed problem selector: family id plus size and seed where they apply.
+
+    A spec is checked against the catalog when it is made, so every spec
+    builds: a family whose heads fix n takes one of those sizes, and any
+    other family an explicit n of at least its least size.
+    """
 
     id: str
     n: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.id not in _FAMILIES:
+        heads = [head for head in _CATALOG.values() if head.id == self.id]
+        if not heads:
             raise ValueError(f"unknown problem family {self.id!r}")
-        if self.id == "nash_cournot" and self.n not in (5, 10):
-            raise ValueError("nash_cournot needs n in {5, 10}")
-        if self.id in ("hp_hard", "scalable_monotone", "linear_spd"):
-            if self.n is None or self.n < 1:
-                raise ValueError(f"{self.id} needs an explicit positive n")
+        if heads[0].fields:  # its one head reads n from the selector
+            if self.n is None or self.n < heads[0].n:
+                raise ValueError(f"{self.id} needs an explicit n >= {heads[0].n}")
+        elif self.n not in [head.n for head in heads]:
+            sizes = ", ".join(str(head.n) for head in heads)
+            raise ValueError(f"{self.id} needs n in {{{sizes}}}")
 
     @classmethod
     def from_selector(cls, text: str) -> "ProblemSpec":
         """Parse selectors: analytic2d, ks, nash5, nash10, hphard:<n>[:<seed>],
         monotone:<n>, linspd:<n>[:<seed>].  Omitted seeds default to 0."""
-        parts = text.strip().split(":")
-        head = parts[0]
-        if head == "analytic2d" and len(parts) == 1:
-            return cls(id="analytic2d")
-        if head == "ks" and len(parts) == 1:
-            return cls(id="kojima_shindo")
-        if head in ("nash5", "nash10") and len(parts) == 1:
-            return cls(id="nash_cournot", n=int(head[4:]))
-        if head == "hphard" and len(parts) in (2, 3):
-            seed = int(parts[2]) if len(parts) == 3 else 0
-            return cls(id="hp_hard", n=int(parts[1]), seed=seed)
-        if head == "monotone" and len(parts) == 2:
-            return cls(id="scalable_monotone", n=int(parts[1]))
-        if head == "linspd" and len(parts) in (2, 3):
-            seed = int(parts[2]) if len(parts) == 3 else 0
-            return cls(id="linear_spd", n=int(parts[1]), seed=seed)
-        raise ValueError(f"cannot parse problem selector {text!r}")
+        name, *fields = text.strip().split(":")
+        head = _CATALOG.get(name)
+        if head is None or not (len(fields) == head.fields or 1 <= len(fields) < head.fields):
+            raise ValueError(f"cannot parse problem selector {text!r}")
+        return cls(head.id, *([int(field) for field in fields] or [head.n]))
 
     def build(self) -> NcpProblem:
-        if self.id == "analytic2d":
-            return analytic2d()
-        if self.id == "kojima_shindo":
-            return kojima_shindo()
-        if self.id == "nash_cournot":
-            return nash_cournot(self.n)
-        if self.id == "hp_hard":
-            return hp_hard(self.n, self.seed)
-        if self.id == "scalable_monotone":
-            return scalable_monotone(self.n)
-        return linear_spd(self.n, self.seed)
+        head = next(head for head in _CATALOG.values() if head.id == self.id)
+        if head.fields == 2:
+            return head.build(self.n, self.seed)
+        return head.build() if self.n is None else head.build(self.n)
 
 
 def problem_from_selector(text: str) -> NcpProblem:

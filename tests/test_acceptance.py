@@ -28,14 +28,12 @@ from smoothncp import (
     h_r_jacobian,
     kernel_from_selector,
     l_function,
-    linear_spd,
     newton_inner,
     problem_from_selector,
     quadratic_modulus,
 )
+from smoothncp.cli import DEFAULT_KERNELS as KERNELS, DEFAULT_SUITE as SUITE
 
-KERNELS = ("rational", "exp")
-SUITE = ("analytic2d", "ks", "monotone:10", "monotone:100", "hphard:20", "nash5")
 ALL_PROBLEMS = ("analytic2d", "ks", "nash5", "nash10", "hphard:20", "monotone:10", "linspd:8")
 
 
@@ -247,7 +245,7 @@ def test_c9_product_bound_at_solved_levels(benchmark_runs):
 
 @criterion(10)
 def test_c10_error_bound_on_linear_spd():
-    problem = linear_spd(8, seed=7)
+    problem = problem_from_selector("linspd:8:7")
     lam = problem.meta["lambda_min"]
     x_star = problem.meta["x_star"]
     modulus = quadratic_modulus(lam)

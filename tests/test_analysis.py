@@ -159,6 +159,16 @@ def test_hessian_negative_semidefinite(kernel, s, t):
     assert r_e * t_e - s_e * s_e >= -1e-12
 
 
+def test_hessian_entries_raise_when_the_psi_sum_underflows():
+    # psi(10) = 11^-500 underflows to 0 for phi:1.002, as it does in g_r
+    kernel = kernel_from_selector("phi:1.002")
+    message = "soft-min evaluation left the representable range of psi"
+    with pytest.raises(FloatingPointError, match=message):
+        g_hessian_entries(kernel, np.array([1.0, 10.0]), np.array([1.0, 10.0]))
+    with pytest.raises(FloatingPointError, match=message):
+        g_r(kernel, 10.0, 10.0, 1.0)
+
+
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)
 def test_concavity_check_holds(selector):
     rep = check_concavity(kernel_from_selector(selector), np.geomspace(0.1, 10.0, 65))
@@ -189,37 +199,48 @@ def test_concavity_report_does_not_depend_on_hessian_blocks(monkeypatch):
         monkeypatch.undo()
 
 
-def nan_kernel():
-    """tilted_kernel() with an analytic psi'' that is NaN at two s-grid points.
+HESSIAN_GRID = np.geomspace(0.2, 1.2, 40)
+_TILTED = tilted_kernel().analytic
+# the soft-min G(s, s) = psi_inv(2 psi(s)) at the grid's points 5 and 30
+NAN_MIDS = _TILTED.psi_inv(2.0 * _TILTED.psi(HESSIAN_GRID[[5, 30]]))
 
-    NaN_POINTS are HESSIAN_S[5] and HESSIAN_S[30], which are not in HESSIAN_T,
-    so the Hessian defect is NaN on those two rows of the (s, t) grid only.
+
+def nan_kernel():
+    """tilted_kernel() with an analytic psi'' that is NaN near NAN_MIDS.
+
+    psi'' is NaN within 1e-9 relative of G(s, s) at two grid points s, a band
+    that holds no grid point and no G(s, t) of any other grid pair, so the
+    Hessian defect is NaN at the diagonal points (5, 5) and (30, 30) only:
+    rows 0 to 4 are finite.
     """
     kernel = tilted_kernel()
     br = kernel.analytic
 
     def d2psi(x):
         x = np.asarray(x, dtype=float)
-        return np.where(np.isin(x, NAN_POINTS), np.nan, br.d2psi(x))
+        near = np.isclose(x[..., None], NAN_MIDS, rtol=1e-9, atol=0.0).any(axis=-1)
+        return np.where(near, np.nan, br.d2psi(x))
 
     return dataclasses.replace(kernel, analytic=dataclasses.replace(br, d2psi=d2psi))
 
 
-HESSIAN_S = np.geomspace(0.2, 1.2, 40)
-HESSIAN_T = np.geomspace(0.25, 1.1, 33)
-NAN_POINTS = HESSIAN_S[[5, 30]]
+def hessian_defects(kernel):
+    """The Hessian-route defects and entries (R, T, S) on the whole
+    HESSIAN_GRID x HESSIAN_GRID grid."""
+    grid = HESSIAN_GRID
+    r_e, t_e, s_e = g_hessian_entries(kernel, grid[:, None], grid[None, :])
+    det_defect = s_e**2 - r_e * t_e - analysis.HESSIAN_DET_SLACK
+    return np.maximum(np.maximum(r_e, t_e), det_defect), (r_e, t_e, s_e)
 
 
 def hessian_reference(kernel):
-    """Worst Hessian-route defect on the whole HESSIAN_S x HESSIAN_T grid.
+    """Worst Hessian-route defect on the whole HESSIAN_GRID x HESSIAN_GRID grid.
 
     Returns the defect, its (s, t) index as np.argmax gives it (the first
     NaN in row-major order, else the first largest entry) and the entries
     (R, T, S) there.
     """
-    r_e, t_e, s_e = g_hessian_entries(kernel, HESSIAN_S[:, None], HESSIAN_T[None, :])
-    det_defect = s_e**2 - r_e * t_e - analysis.HESSIAN_DET_SLACK
-    defect = np.maximum(np.maximum(r_e, t_e), det_defect)
+    defect, (r_e, t_e, s_e) = hessian_defects(kernel)
     i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
     return float(defect.max()), int(i), int(j), (r_e[i, j], t_e[i, j], s_e[i, j])
 
@@ -233,9 +254,9 @@ def hessian_reference(kernel):
 def test_hessian_route_matches_whole_grid(monkeypatch, make, rows):
     # 7 rows do not divide the 40 s points, so the last block is short
     if rows is not None:
-        monkeypatch.setattr(analysis, "_HESSIAN_BLOCK", rows * HESSIAN_T.size)
+        monkeypatch.setattr(analysis, "_HESSIAN_BLOCK", rows * HESSIAN_GRID.size)
     kernel = make()
-    rep = check_concavity(kernel, HESSIAN_S, HESSIAN_T)
+    rep = check_concavity(kernel, HESSIAN_GRID)
     worst, i, j, (r_e, t_e, s_e) = hessian_reference(kernel)
     l_worst = (rep.details["l_monotonicity_defect"], rep.details["l_subadditivity_defect"])
     np.testing.assert_equal(rep.max_defect, max(worst, *l_worst))
@@ -244,7 +265,7 @@ def test_hessian_route_matches_whole_grid(monkeypatch, make, rows):
         return
     assert rep.details["hessian_route"] == "violated"
     expected = {
-        "s": HESSIAN_S[i], "t": HESSIAN_T[j], "R": r_e, "T": t_e, "S": s_e,
+        "s": HESSIAN_GRID[i], "t": HESSIAN_GRID[j], "R": r_e, "T": t_e, "S": s_e,
         "route": "hessian",
     }
     np.testing.assert_equal(rep.witness, expected)
@@ -253,34 +274,27 @@ def test_hessian_route_matches_whole_grid(monkeypatch, make, rows):
 def test_hessian_route_first_nan_wins():
     # the finite defects are positive everywhere, yet the first NaN row wins
     worst, i, j, _ = hessian_reference(nan_kernel())
-    assert math.isnan(worst) and (i, j) == (5, 0)
+    assert math.isnan(worst) and (i, j) == (5, 5)
     assert hessian_reference(tilted_kernel())[0] > 0.0
-    assert not np.isin(NAN_POINTS, HESSIAN_T).any()
+    defect = hessian_defects(nan_kernel())[0]
+    assert np.argwhere(np.isnan(defect)).tolist() == [[5, 5], [30, 30]]
 
 
 @pytest.mark.parametrize(
-    "s_grid, t_grid",
+    "grid",
     [
-        (np.geomspace(0.1, 10.0, 9), np.array([])),
-        (np.array([]), None),
-        (np.array([1.0]), None),
-        (np.geomspace(0.1, 10.0, 9), np.array([2.0])),
-        (np.geomspace(0.1, 10.0, 9).reshape(3, 3), None),
-        (np.geomspace(0.1, 10.0, 9), np.geomspace(0.1, 10.0, 9).reshape(3, 3)),
-        (np.array([0.5, np.nan, 2.0]), None),
-        (np.geomspace(0.1, 10.0, 9), np.array([0.5, np.nan])),
-        (np.array([0.5, np.inf]), None),
-        (np.array([0.0, 1.0]), None),
-        (np.geomspace(0.1, 10.0, 9), np.array([-1.0, 1.0])),
+        np.array([]),
+        np.array([1.0]),
+        np.geomspace(0.1, 10.0, 9).reshape(3, 3),
+        np.array([0.5, np.nan, 2.0]),
+        np.array([0.5, np.inf]),
+        np.array([0.0, 1.0]),
     ],
-    ids=[
-        "empty-t", "empty-s", "one-point-s", "one-point-t", "2d-s", "2d-t",
-        "nan-s", "nan-t", "inf-s", "zero-s", "negative-t",
-    ],
+    ids=["empty-s", "one-point-s", "2d-s", "nan-s", "inf-s", "zero-s"],
 )
-def test_concavity_rejects_bad_grids(s_grid, t_grid):
+def test_concavity_rejects_bad_grids(grid):
     with pytest.raises(ValueError, match="1-d array of at least two finite positive"):
-        check_concavity(kernel_from_selector("phi:3"), s_grid, t_grid)
+        check_concavity(kernel_from_selector("phi:3"), grid)
 
 
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)
@@ -362,11 +376,9 @@ def test_limit_probe_and_deriv_reject_non_finite_arguments(selector):
         with pytest.raises(ValueError, match="s and t must be finite"):
             g_r_deriv_r(kernel, np.array([1.0, 2.0]), np.array([0.5, math.inf]), 1.0)
         # s/r or t/r overflows at the smallest r of the probe
-        for s, t, r_seq in (
-            (1e301, 1.0, None), (1.0, -1e301, None), (1e300, 1e300, (1e-6, 1e-9))
-        ):
+        for s, t in ((1e301, 1.0), (1.0, -1e301)):
             with pytest.raises(ValueError, match="finite at the smallest r"):
-                limit_probe(kernel, s, t, r_seq)
+                limit_probe(kernel, s, t)
 
 
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)
@@ -430,7 +442,7 @@ def test_speed_bound_reports(kernel):
         assert rep.property == "speed_bound"
 
 
-def _speed_bound_per_r(kernel, s, t, r0, r_seq=None):
+def _speed_bound_per_r(kernel, s, t, r0):
     """The speed-bound check with one scalar soft-min call per r.
 
     Returns (outcome, max_defect, witness) as check_speed_bound reports them.
@@ -439,9 +451,8 @@ def _speed_bound_per_r(kernel, s, t, r0, r_seq=None):
     probe = [float(g_r(kernel, s, t, r)) for r in (1e-6, 1e-7, 1e-8)]
     f0 = probe[2] + (probe[2] - probe[1]) * 1e-8 / (1e-7 - 1e-8)
     fr0 = float(g_r(kernel, s, t, r0))
-    rs = np.geomspace(r0, r0 * 1e-6, 25) if r_seq is None else r_seq
     max_defect, witness = -math.inf, None
-    for r in map(float, rs):
+    for r in map(float, np.geomspace(r0, r0 * 1e-6, 25)):
         fr = float(g_r(kernel, s, t, r))
         ps, pt = g_r_partials(kernel, s, t, r)
         rdf = fr - (s * float(ps) + t * float(pt))
@@ -457,13 +468,10 @@ def _speed_bound_per_r(kernel, s, t, r0, r_seq=None):
     return ("holds" if witness is None else "violated"), max_defect, witness
 
 
-def _speed_bound_by_parts(kernel, s, t, r0, r_seq=None):
+def _speed_bound_by_parts(kernel, s, t, r0):
     """check_speed_bound's report, built from limit_probe, g_r at r0, the
     sweep r * g_1(s/r, t/r) and g_r_deriv_r at (s/r, t/r, 1)."""
-    if r_seq is None:
-        rs = r0 * np.geomspace(1.0, 1e-6, 25)
-    else:
-        rs = np.array([float(r) for r in r_seq])
+    rs = r0 * np.geomspace(1.0, 1e-6, 25)
     f0 = limit_probe(kernel, s, t).limit
     fr0 = float(g_r(kernel, s, t, r0))
     fr = rs * np.asarray(g_r(kernel, s / rs, t / rs, 1.0), dtype=float)
@@ -478,7 +486,7 @@ def _speed_bound_by_parts(kernel, s, t, r0, r_seq=None):
         "property": "speed_bound",
         "grid": f"s={s:g}, t={t:g}, r0={r0:g}, {rs.size} r values",
         "outcome": "holds",
-        "max_defect": float(worst.max(initial=-math.inf)),
+        "max_defect": float(worst.max()),
     }
     bad = np.flatnonzero(worst > 0.0)
     if bad.size:
@@ -493,17 +501,17 @@ def _speed_bound_by_parts(kernel, s, t, r0, r_seq=None):
     return analysis.AnalysisReport(**rep)
 
 
-def _assert_same_report(kernel, s, t, r0, r_seq=None):
+def _assert_same_report(kernel, s, t, r0):
     # repr spells every float exactly, its type included, and NaN as nan
-    got = check_speed_bound(kernel, s, t, r0, r_seq)
-    want = _speed_bound_by_parts(kernel, s, t, r0, r_seq)
-    assert repr(got) == repr(want), (kernel.name, s, t, r0, r_seq)
+    got = check_speed_bound(kernel, s, t, r0)
+    want = _speed_bound_by_parts(kernel, s, t, r0)
+    assert repr(got) == repr(want), (kernel.name, s, t, r0)
 
 
-def _assert_matches_per_r(kernel, s, t, r0, r_seq=None):
-    rep = check_speed_bound(kernel, s, t, r0, r_seq)
-    _assert_same_report(kernel, s, t, r0, r_seq)
-    outcome, max_defect, witness = _speed_bound_per_r(kernel, s, t, r0, r_seq)
+def _assert_matches_per_r(kernel, s, t, r0):
+    rep = check_speed_bound(kernel, s, t, r0)
+    _assert_same_report(kernel, s, t, r0)
+    outcome, max_defect, witness = _speed_bound_per_r(kernel, s, t, r0)
     assert rep.outcome == outcome, (kernel.name, s, t, r0)
     assert abs(rep.max_defect - max_defect) <= 1e-12, (kernel.name, s, t, r0)
     if witness is not None:
@@ -526,42 +534,25 @@ def test_speed_bound_sweep_matches_per_r_loop(selector):
         np.testing.assert_allclose(est.g_values, expected, rtol=1e-12, atol=0.0)
 
 
-def test_speed_bound_explicit_r_seq(kernel):
-    r_seq = (0.3, 1e-4, 0.05, 0.5, 2e-9)
-    rep = _assert_matches_per_r(kernel, 1.5, 0.7, 0.5, r_seq)
-    assert rep.holds
-    assert rep.grid.endswith("5 r values")
-    for bad in ((0.3, 0.6), (0.3, 0.0), (-1e-3,)):
-        with pytest.raises(ValueError, match=r"\(0, r0\]"):
-            check_speed_bound(kernel, 1.5, 0.7, 0.5, bad)
-
-
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS + ["phi:1.5"])
 def test_speed_bound_is_bit_identical_to_its_parts(selector):
-    # the triples are drawn on the benchmark's ranges; with the 3 probe
-    # points, r_seq of 30 entries or more takes the rational soft-min past
-    # its 32-entry float path
+    # the triples are drawn on the benchmark's ranges
     kernel = kernel_from_selector(selector)
     rng = np.random.default_rng(13)
     for _ in range(150):
         s, t = rng.uniform(0.05, 10.0, 2).tolist()
         r0 = float(rng.uniform(1e-3, 1.0))
         _assert_same_report(kernel, s, t, r0)
-    for size in (1, 25, 29, 30, 40):
-        for _ in range(5):
-            s, t = rng.uniform(0.05, 10.0, 2).tolist()
-            r0 = float(rng.uniform(1e-3, 1.0))
-            _assert_same_report(kernel, s, t, r0, r0 * 10.0 ** rng.uniform(-6.0, 0.0, size))
 
 
-def _overriding(softmin, partials):
-    """Rational kernel with its soft-min and partials replaced.
+def _overriding(softmin, partials, selector="rational"):
+    """The selector's kernel with its soft-min and partials replaced.
 
     Both overrides are homogeneous, g_r(s, t) = r * g_1(s/r, t/r), as every
     kernel's soft-min is.
     """
     return dataclasses.replace(
-        kernel_from_selector("rational"),
+        kernel_from_selector(selector),
         name="override",
         softmin_override=softmin,
         softmin_partials_override=partials,
@@ -575,14 +566,15 @@ def _min_partials(s, t, r):
 
 def test_speed_bound_witness_upper():
     # overshoots min(s, t) by r: f(0) = min, so f(r) <= f(0) + slack fails
-    # once r > slack; exact partials of min keep the derivative side at zero
+    # once r > slack, first at r0; exact partials of min keep the derivative
+    # side at zero
     kernel = _overriding(lambda s, t, r: np.minimum(s, t) + r, _min_partials)
-    rep = _assert_matches_per_r(kernel, 1.0, 2.0, 0.1, (1e-10, 1e-3, 1e-2))
+    rep = _assert_matches_per_r(kernel, 1.0, 2.0, 0.1)
     assert rep.outcome == "violated"
-    assert rep.witness["r"] == 1e-3
+    assert rep.witness["r"] == 0.1
     assert rep.witness["side"] == "upper"
     assert rep.witness["f(0)"] == pytest.approx(1.0, abs=1e-12)
-    assert rep.max_defect == pytest.approx(1e-2, rel=1e-6)
+    assert rep.max_defect == pytest.approx(0.1, rel=1e-6)
 
 
 def test_speed_bound_witness_lower():
@@ -612,69 +604,73 @@ def test_speed_bound_witness_derivative():
 
 
 def test_speed_bound_nan_defect_does_not_hide_a_violation():
-    # NaN where 50 < min(s, t)/r < 500, i.e. at r = 1e-2 for (1, 2); the
-    # limit probe stays clear of the band, and r = 1e-3 overshoots by r
+    # for (1, 2) and r0 = 0.1 the sweep is r_k = 0.1 * 10^(-k/4): f(r) = min
+    # for r_0 to r_2, NaN where 50 < min(s, t)/r < 500 (r_3 to r_6), and an
+    # overshoot by r from r_7 on, where the limit probe lies too
     def softmin(s, t, r):
         m = np.minimum(s, t)
-        return np.where((50.0 < m / r) & (m / r < 500.0), math.nan, m + r)
+        return np.where(m / r < 50.0, m, np.where(m / r < 500.0, math.nan, m + r))
 
     kernel = _overriding(softmin, _min_partials)
-    rep = check_speed_bound(kernel, 1.0, 2.0, 0.1, (1e-10, 1e-2, 1e-3))
-    _assert_same_report(kernel, 1.0, 2.0, 0.1, (1e-10, 1e-2, 1e-3))
+    rep = check_speed_bound(kernel, 1.0, 2.0, 0.1)
+    _assert_same_report(kernel, 1.0, 2.0, 0.1)
     assert math.isnan(rep.max_defect)
     assert rep.outcome == "violated"
-    assert rep.witness["r"] == 1e-3
+    assert rep.witness["r"] == 0.1 * np.geomspace(1.0, 1e-6, 25)[7]
     assert rep.witness["side"] == "upper"
 
 
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)
 def test_speed_bound_default_sweep_is_r0_times_a_fixed_sweep(selector):
-    kernel = kernel_from_selector(selector)
+    # f(r) = min(s, t) + r at and below a cut, min(s, t) above it: the witness
+    # is the first r of the sweep at or below the cut, so placing the cut at
+    # each sweep point in turn reads the whole sweep back from the reports.
+    # With r0 >= 0.1, r = 1e-7 and 1e-8 of the limit probe overshoot too,
+    # so that f(0) = min(s, t).
     unit = np.geomspace(1.0, 1e-6, 25)
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        s = float(rng.uniform(0.05, 10.0))
-        t = float(rng.uniform(0.05, 10.0))
-        r0 = float(rng.uniform(1e-3, 1.0))
-        rep = check_speed_bound(kernel, s, t, r0)
-        assert rep == check_speed_bound(kernel, s, t, r0, r0 * unit)
-        # exact end points; numpy's geomspace rounds the interior points
-        # of the old sweep to within about 10 eps of the exact values
-        old_sweep = np.geomspace(r0, r0 * 1e-6, 25)
-        assert (r0 * unit)[0] == r0 and (r0 * unit)[-1] == r0 * 1e-6
-        np.testing.assert_allclose(r0 * unit, old_sweep, rtol=4e-15, atol=0.0)
-        old = check_speed_bound(kernel, s, t, r0, old_sweep)
-        assert rep.outcome == old.outcome
-        assert (rep.witness or {}).get("side") == (old.witness or {}).get("side")
-        assert abs(rep.max_defect - old.max_defect) <= 1e-14
-        assert limit_probe(kernel, s, t) == limit_probe(kernel, s, t, (1e-6, 1e-7, 1e-8))
+    for r0 in (1.0, 0.1, 0.37, 0.9):
+        sweep = r0 * unit
+        # exact end points; numpy's geomspace rounds the interior points of
+        # np.geomspace(r0, r0 * 1e-6, 25) to within about 10 eps of these
+        assert sweep[0] == r0 and sweep[-1] == r0 * 1e-6
+        np.testing.assert_allclose(sweep, np.geomspace(r0, r0 * 1e-6, 25), rtol=4e-15)
+        for r in sweep:
+            cut = 1.0 / r  # min(s, t) / r at s = 1, as the check computes it
+
+            def softmin(s, t, rr, cut=cut):
+                m = np.minimum(s, t)
+                return np.where(m / rr >= cut, m + rr, m)
+
+            kernel = _overriding(softmin, _min_partials, selector)
+            rep = check_speed_bound(kernel, 1.0, 2.0, r0)
+            assert rep.grid.endswith(", 25 r values")
+            assert rep.witness["r"] == r and rep.witness["side"] == "upper", (r0, r)
 
 
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)
 @pytest.mark.parametrize(
-    "s, t, r0, r_seq, message",
+    "s, t, r0, message",
     [
-        (1.0, math.inf, 0.5, None, "finite and positive"),
-        (math.inf, 1.0, 0.5, None, "finite and positive"),
-        (math.nan, 1.0, 0.5, None, "finite and positive"),
-        (0.0, 1.0, 0.5, None, "finite and positive"),
-        (1.0, 2.0, math.inf, None, "finite and positive"),
-        (1.0, 2.0, -0.5, None, "finite and positive"),
+        (1.0, math.inf, 0.5, "finite and positive"),
+        (math.inf, 1.0, 0.5, "finite and positive"),
+        (math.nan, 1.0, 0.5, "finite and positive"),
+        (0.0, 1.0, 0.5, "finite and positive"),
+        (1.0, 2.0, math.inf, "finite and positive"),
+        (1.0, 2.0, -0.5, "finite and positive"),
         # the smallest sweep r, r0 * 1e-6, makes s/r overflow, or is 0
-        (1.0, 2.0, 1e-310, None, "keep s/r and t/r finite"),
-        (1.0, 2.0, 5e-320, None, "keep s/r and t/r finite"),
+        (1.0, 2.0, 1e-310, "keep s/r and t/r finite"),
+        (1.0, 2.0, 5e-320, "keep s/r and t/r finite"),
         # the limit probe's r = 1e-8 makes s/r overflow
-        (1e301, 2.0, 1.0, None, "keep s/r and t/r finite"),
-        (1.0, 2.0, 0.5, (0.5, 1e-320), "keep s/r and t/r finite"),
+        (1e301, 2.0, 1.0, "keep s/r and t/r finite"),
     ],
     ids=[
         "inf-t", "inf-s", "nan-s", "zero-s", "inf-r0", "negative-r0",
-        "tiny-r0", "r0-sweep-underflows", "huge-s", "tiny-r-seq",
+        "tiny-r0", "r0-sweep-underflows", "huge-s",
     ],
 )
-def test_speed_bound_rejects_bad_inputs(selector, s, t, r0, r_seq, message):
+def test_speed_bound_rejects_bad_inputs(selector, s, t, r0, message):
     with pytest.raises(ValueError, match=message):
-        check_speed_bound(kernel_from_selector(selector), s, t, r0, r_seq)
+        check_speed_bound(kernel_from_selector(selector), s, t, r0)
 
 
 # Outside the supported scales the check failed in the kernel's arithmetic or
@@ -685,32 +681,31 @@ def test_speed_bound_rejects_bad_inputs(selector, s, t, r0, r_seq, message):
 # three at (1e8, 1e8, 1) and (1e-8, 2e-8, 5e-9).
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)
 @pytest.mark.parametrize(
-    "s, t, r0, r_seq, message",
+    "s, t, r0, message",
     [
-        (1.0, 2.0, 1e-290, None, "keep s/r and t/r finite"),
-        (1e299, 1e299, 1.0, None, "keep s/r and t/r finite"),
-        (1e300, 1e300, 1.0, None, "keep s/r and t/r finite"),
-        (1.0, 2.0, 1e-11, None, "keep s/r and t/r finite"),
-        (1.0, 2.0, 0.5, (0.5, 1e-17), "keep s/r and t/r finite"),
-        (1.0, 2.0, 1e300, None, "r0 must be at most"),
-        (1.0, 2.0, 1e8, None, "r0 must be at most"),
-        (1e8, 1e8, 1.0, None, "s and t must lie in"),
-        (1e7, 2e7, 0.5, None, "s and t must lie in"),
-        (1e-8, 2e-8, 5e-9, None, "s and t must lie in"),
-        (1e-7, 2e-7, 5e-8, None, "s and t must lie in"),
-        (1.0, 2e-5, 1.0, None, "s and t must lie in"),
+        (1.0, 2.0, 1e-290, "keep s/r and t/r finite"),
+        (1e299, 1e299, 1.0, "keep s/r and t/r finite"),
+        (1e300, 1e300, 1.0, "keep s/r and t/r finite"),
+        (1.0, 2.0, 1e-11, "keep s/r and t/r finite"),
+        (1.0, 2.0, 1e300, "r0 must be at most"),
+        (1.0, 2.0, 1e8, "r0 must be at most"),
+        (1e8, 1e8, 1.0, "s and t must lie in"),
+        (1e7, 2e7, 0.5, "s and t must lie in"),
+        (1e-8, 2e-8, 5e-9, "s and t must lie in"),
+        (1e-7, 2e-7, 5e-8, "s and t must lie in"),
+        (1.0, 2e-5, 1.0, "s and t must lie in"),
     ],
     ids=[
-        "tiny-r0", "huge-s-t", "huge-s-t-exp", "ratio-over-1e16", "r-seq-ratio",
+        "tiny-r0", "huge-s-t", "huge-s-t-exp", "ratio-over-1e16",
         "huge-r0", "large-r0", "large-s-t", "large-s-t-uneven", "tiny-s-t",
         "small-s-t", "small-t",
     ],
 )
-def test_speed_bound_rejects_unsupported_scales(selector, s, t, r0, r_seq, message):
+def test_speed_bound_rejects_unsupported_scales(selector, s, t, r0, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            check_speed_bound(kernel_from_selector(selector), s, t, r0, r_seq)
+            check_speed_bound(kernel_from_selector(selector), s, t, r0)
 
 
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS + ["phi:1.5", "phi:2"])

@@ -294,12 +294,13 @@ def test_main_analyze_rejects_degenerate_kernels(selector, capsys):
 
 
 def test_main_reports_kernel_arithmetic_errors(capsys):
-    # phi:1.002 builds (psi(1) = 3e-151), but psi underflows inside the
-    # speed check's soft-min: exit 2 with a message, no traceback
-    assert main(["analyze", "--theta", "phi:1.002", "--check", "speed"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: soft-min evaluation left the representable range of psi\n"
+    # phi:1.002 builds (psi(1) = 3e-151), but psi underflows inside each
+    # check's soft-min: exit 2 with the same message, no traceback
+    for check in ("speed", "limits", "concavity"):
+        assert main(["analyze", "--theta", "phi:1.002", "--check", check]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: soft-min evaluation left the representable range of psi\n"
 
 
 def test_main_rejects_unknown_check(capsys):

@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothncp import (
-    check_Ha,
-    kernel_from_selector,
-    make_exponential,
-    PhiLambdaParams,
-    make_phi_lambda,
-    make_rational,
-)
+from smoothncp import check_Ha, kernel_from_selector
+from smoothncp.kernels import _make_phi_lambda
 
 finite_reals = st.floats(-50.0, 50.0, allow_nan=False)
 positive_reals = st.floats(1e-6, 50.0, allow_nan=False)
@@ -94,7 +88,7 @@ def test_dominance_flags(selector, expected):
 
 
 def test_phi_lambda_2_matches_rational(rational):
-    phi2 = make_phi_lambda(PhiLambdaParams(2.0))
+    phi2 = kernel_from_selector("phi:2")
     t = np.geomspace(1e-8, 1e8, 1025)
     assert np.array_equal(phi2.theta(t), rational.theta(t))
     np.testing.assert_allclose(phi2.psi(t), rational.psi(t), rtol=4e-15)
@@ -115,7 +109,7 @@ def test_phi_lambda_1_matches_exponential(exponential):
 @pytest.mark.parametrize("lam,c1", [(1.5, 1.0), (3.0, 1.0), (3.0, 2.0), (1.25, 0.5)])
 def test_phi_lambda_defining_identity(lam, c1):
     """The family solves (psi')^2 = psi * psi'' / lambda on its smooth branch."""
-    kern = make_phi_lambda(PhiLambdaParams(lam, c1))
+    kern = kernel_from_selector(f"phi:{lam}:{c1}")
     x = np.geomspace(1e-3, 50.0, 200)
     lhs = kern.dpsi(x) ** 2
     rhs = kern.psi(x) * kern.d2psi(x) / lam
@@ -124,7 +118,7 @@ def test_phi_lambda_defining_identity(lam, c1):
 
 def test_phi_lambda_affine_continuation():
     lam, c1 = 3.0, 1.0
-    kern = make_phi_lambda(PhiLambdaParams(lam, c1))
+    kern = kernel_from_selector("phi:3")
     p = 1.0 / (lam - 1.0)
     x0 = -1.0 / (2.0 * c1)
     assert kern.psi(x0) == pytest.approx(2.0 ** p, rel=1e-14)
@@ -139,12 +133,14 @@ def test_phi_lambda_affine_continuation():
 
 
 def test_phi_lambda_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        PhiLambdaParams(0.5)
-    with pytest.raises(ValueError):
-        PhiLambdaParams(2.0, -1.0)
-    with pytest.raises(ValueError):
-        PhiLambdaParams(1.0, 1.0, d=0.0)
+    with pytest.raises(ValueError, match="requires a finite lam >= 1$"):
+        kernel_from_selector("phi:0.5")
+    with pytest.raises(ValueError, match="requires a finite lam >= 1$"):
+        kernel_from_selector("phi:nan")
+    with pytest.raises(ValueError, match="requires a finite c1 > 0$"):
+        kernel_from_selector("phi:2:-1")
+    with pytest.raises(ValueError, match="requires a finite d > 0$"):
+        kernel_from_selector("phi:1:0")
 
 
 @pytest.mark.parametrize(
@@ -210,13 +206,13 @@ def test_selector_error_names_the_trailing_parameter(selector, parameter):
 @pytest.mark.parametrize(
     "selector, params, closed_form",
     [
-        ("phi:1:2", PhiLambdaParams(1.0, d=2.0), lambda t: np.exp(-2.0 * t)),
-        ("phi:1:3", PhiLambdaParams(1.0, d=3.0), lambda t: np.exp(-3.0 * t)),
-        ("phi:3:2", PhiLambdaParams(3.0, c1=2.0), lambda t: (2.0 * t + 1.0) ** -0.5),
+        ("phi:1:2", {"lam": 1.0, "d": 2.0}, lambda t: np.exp(-2.0 * t)),
+        ("phi:1:3", {"lam": 1.0, "d": 3.0}, lambda t: np.exp(-3.0 * t)),
+        ("phi:3:2", {"lam": 3.0, "c1": 2.0}, lambda t: (2.0 * t + 1.0) ** -0.5),
     ],
 )
 def test_selector_trailing_value(selector, params, closed_form):
-    kern, ref = kernel_from_selector(selector), make_phi_lambda(params)
+    kern, ref = kernel_from_selector(selector), _make_phi_lambda(**params)
     assert kern.name == ref.name == selector
     t = np.linspace(-3.0, 20.0, 231)
     for fn in ("theta", "psi", "dpsi", "d2psi"):
@@ -473,8 +469,7 @@ def test_selector_parsing():
 
 
 def test_factories_are_deterministic():
-    a, b = make_rational(), make_rational()
     t = np.linspace(-5.0, 5.0, 101)
-    assert np.array_equal(a.psi(t), b.psi(t))
-    c, d = make_exponential(), make_exponential()
-    assert np.array_equal(c.psi(t), d.psi(t))
+    for selector in ("rational", "exp", "phi:3"):
+        a, b = kernel_from_selector(selector), kernel_from_selector(selector)
+        assert np.array_equal(a.psi(t), b.psi(t))

@@ -1,23 +1,17 @@
-"""Benchmark problem factories, selectors, and the active-set oracle."""
+"""Benchmark problem catalog, its selectors, and the active-set oracle."""
 
 import numpy as np
 import pytest
 
 from smoothncp import (
     EvaluationError,
-    NcpProblem,
     ProblemSpec,
-    active_set_solve,
     fd_jacobian,
     feas_metric,
-    hp_hard,
-    kojima_shindo,
-    linear_spd,
-    nash_cournot,
     problem_from_selector,
     res_metric,
-    scalable_monotone,
 )
+from smoothncp.problems import _active_set_solve as active_set_solve
 
 from p_sampling import p0_sample_test
 
@@ -53,7 +47,7 @@ def test_kojima_shindo_degenerate_solution(ks_problem):
 
 
 def test_nash_frozen_values():
-    nash = nash_cournot(5)
+    nash = problem_from_selector("nash5")
     fx = nash.eval_F(np.ones(5))
     np.testing.assert_allclose(
         fx,
@@ -63,14 +57,14 @@ def test_nash_frozen_values():
 
 
 def test_nash_sizes():
-    assert nash_cournot(10).n == 10
-    assert np.all(np.isfinite(nash_cournot(10).eval_F(np.ones(10))))
-    with pytest.raises(ValueError):
-        nash_cournot(7)
+    assert problem_from_selector("nash10").n == 10
+    assert np.all(np.isfinite(problem_from_selector("nash10").eval_F(np.ones(10))))
+    with pytest.raises(ValueError, match="cannot parse problem selector 'nash7'"):
+        ProblemSpec.from_selector("nash7")
 
 
 def test_nash_tolerates_stray_negative_components():
-    nash = nash_cournot(5)
+    nash = problem_from_selector("nash5")
     x = np.array([-0.1, 1.0, 1.0, 1.0, 1.0])
     assert np.all(np.isfinite(nash.F(x)))
     with pytest.raises(EvaluationError):
@@ -78,24 +72,24 @@ def test_nash_tolerates_stray_negative_components():
 
 
 def test_hp_hard_determinism_and_conditioning():
-    p1, p2 = hp_hard(20, seed=0), hp_hard(20, seed=0)
+    p1, p2 = problem_from_selector("hphard:20"), problem_from_selector("hphard:20:0")
     assert np.array_equal(p1.meta["M"], p2.meta["M"])
     assert np.array_equal(p1.meta["q"], p2.meta["q"])
-    assert not np.array_equal(p1.meta["M"], hp_hard(20, seed=1).meta["M"])
+    assert not np.array_equal(p1.meta["M"], problem_from_selector("hphard:20:1").meta["M"])
     assert p1.name == "hp_hard_20_s0"
     sym = (p1.meta["M"] + p1.meta["M"].T) / 2.0
     assert np.linalg.eigvalsh(sym)[0] == pytest.approx(0.13984919875045895, rel=1e-10)
 
 
 def test_hp_hard_jacobian_copy_safety():
-    p = hp_hard(5, seed=0)
+    p = problem_from_selector("hphard:5")
     jf = p.jacobian(np.zeros(5))
     jf[0, 0] += 999.0
     assert np.array_equal(p.jacobian(np.zeros(5)), p.meta["M"])
 
 
 def test_scalable_monotone_structure():
-    p = scalable_monotone(6)
+    p = problem_from_selector("monotone:6")
     assert p.tridiagonal
     # at x = 0 the Jacobian is M + I, arctan' being 1 there
     m = p.jacobian(np.zeros(6)) - np.eye(6)
@@ -106,8 +100,8 @@ def test_scalable_monotone_structure():
     assert np.array_equal(p.eval_F(np.zeros(6)), np.full(6, -1.0))
     x = np.arange(1.0, 7.0)
     np.testing.assert_allclose(p.eval_F(x), m @ x + np.arctan(x) - 1.0, rtol=1e-15)
-    with pytest.raises(ValueError):
-        scalable_monotone(1)
+    with pytest.raises(ValueError, match="scalable_monotone needs an explicit n >= 2"):
+        ProblemSpec.from_selector("monotone:1")
 
 
 def test_linear_spd_certificates():
@@ -122,7 +116,7 @@ def test_linear_spd_certificates():
 
 
 def test_linear_spd_large_skips_oracle():
-    p = linear_spd(20, seed=0)
+    p = problem_from_selector("linspd:20")
     assert p.meta["x_star"] is None
     assert p.known_solutions == []
     assert p.meta["lambda_min"] >= 1.0
@@ -206,16 +200,35 @@ def test_selector_build_dimensions():
 
 
 @pytest.mark.parametrize(
-    "bad", ["nash7", "hphard", "bogus:3", "analytic2d:2", "monotone:xyz", ""])
+    "bad", ["nash7", "hphard", "bogus:3", "analytic2d:2", "monotone:xyz", "", "monotone:2:1"])
 def test_selector_rejects_garbage(bad):
     with pytest.raises(ValueError):
+        ProblemSpec.from_selector(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("monotone:1", "scalable_monotone needs an explicit n >= 2"),
+        ("hphard:0", "hp_hard needs an explicit n >= 1"),
+        ("linspd:0", "linear_spd needs an explicit n >= 1"),
+        ("nash7", "cannot parse problem selector 'nash7'"),
+    ],
+    ids=["monotone:1", "hphard:0", "linspd:0", "nash7"],
+)
+def test_selector_rejects_sizes_the_family_lacks(bad, message):
+    # the size rule is checked when the selector is parsed, not at build time
+    with pytest.raises(ValueError, match=f"^{message}$"):
         ProblemSpec.from_selector(bad)
 
 
 def test_spec_field_validation():
     with pytest.raises(ValueError):
         ProblemSpec(id="unknown")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"nash_cournot needs n in \{5, 10\}"):
         ProblemSpec(id="nash_cournot", n=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hp_hard needs an explicit n >= 1"):
         ProblemSpec(id="hp_hard")
+    with pytest.raises(ValueError, match="scalable_monotone needs an explicit n >= 2"):
+        ProblemSpec(id="scalable_monotone", n=1)
+    assert ProblemSpec(id="nash_cournot", n=10).build().n == 10
