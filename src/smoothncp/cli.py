@@ -66,19 +66,19 @@ _ANALYZE_PAIRS = ((1.0, 2.0), (0.5, 0.3), (3.0, 3.0), (0.1, 5.0))
 def generate_starts(n: int, count: int, seed: int) -> list:
     """Protocol starting points: a vector of ones, then uniform (0,20) draws.
 
-    Coordinate j of draw i uses its own seed sequence [seed, i, j], so any
-    entry is the same no matter how many starts or coordinates are
-    requested, and starts may be generated in parallel.
+    Coordinate j of draw i is the first draw of its own seed sequence
+    [seed, i, j], so any entry is the same no matter how many starts or
+    coordinates are requested; all of them are drawn in one vectorized pass.
     """
+    from ._draws import first_uniforms, seed_words
+
     if count < 1:
         raise ValueError("count must be at least 1")
-    starts = [np.ones(n)]
-    for i in range(1, count):
-        starts.append(np.array([
-            np.random.default_rng([seed, i, j]).uniform(0.0, 20.0)
-            for j in range(n)
-        ]))
-    return starts
+    words = seed_words(seed)
+    i = np.repeat(np.arange(1, count, dtype=np.uint32), n)
+    j = np.tile(np.arange(n, dtype=np.uint32), count - 1)
+    entropy = [np.full(i.shape, word, dtype=np.uint32) for word in words] + [i, j]
+    return [np.ones(n), *first_uniforms(entropy, 0.0, 20.0).reshape(count - 1, n)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,6 +94,8 @@ class BenchRun:
     def __post_init__(self):
         if self.starts_per_problem < 1:
             raise ValueError("starts_per_problem must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for sel in self.kernels:
             kernel_from_selector(sel)
         for spec in self.problems:

@@ -147,7 +147,9 @@ def _hp_hard(n: int, seed: int) -> NcpProblem:
     The symmetric part of M is positive semidefinite, so the problem is
     monotone, but conditioning degrades quickly as n grows.
     """
-    rng = np.random.default_rng(seed)
+    from ._draws import Stream
+
+    rng = Stream(seed)
     a = rng.uniform(-5.0, 5.0, (n, n))
     upper = np.triu(rng.uniform(-5.0, 5.0, (n, n)), 1)
     d = rng.uniform(0.0, 0.3, n)
@@ -202,15 +204,12 @@ def _active_set_solve(m, q, tol: float = 1e-9) -> np.ndarray:
 
     Tries every active set S: solve M_SS x_S = -q_S with the rest of x at
     zero, keep the first candidate whose x and Mx + q are nonnegative up
-    to `tol`, clip the stray negatives.  Exponential in n, hence the cap.
+    to `tol`, clip the stray negatives.  Exponential in n: _linear_spd
+    calls it only for n <= 12.
     """
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
     n = m.shape[0]
-    if m.shape != (n, n) or q.shape != (n,):
-        raise ValueError("M must be square and q conformable")
-    if n > 12:
-        raise ValueError("active set enumeration is exponential; n > 12 refused")
     for mask in range(2 ** n):
         active = (mask >> np.arange(n)) & 1 == 1
         x = np.zeros(n)
@@ -235,7 +234,9 @@ def _linear_spd(n: int, seed: int) -> NcpProblem:
     monotonicity modulus.  For n <= 12 the exact solution from the active
     set oracle ships in known_solutions and meta["x_star"].
     """
-    rng = np.random.default_rng(seed)
+    from ._draws import Stream
+
+    rng = Stream(seed)
     a = rng.uniform(-1.0, 1.0, (n, n))
     q = rng.uniform(-2.0, 2.0, n)
     m = a.T @ a + np.eye(n)
@@ -302,6 +303,8 @@ class ProblemSpec:
         elif self.n not in [head.n for head in heads]:
             sizes = ", ".join(str(head.n) for head in heads)
             raise ValueError(f"{self.id} needs n in {{{sizes}}}")
+        if heads[0].fields == 2 and self.seed < 0:
+            raise ValueError(f"{self.id} needs a seed >= 0, got {self.seed}")
 
     @classmethod
     def from_selector(cls, text: str) -> "ProblemSpec":

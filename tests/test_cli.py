@@ -70,6 +70,29 @@ def test_starts_reject_bad_count():
         generate_starts(2, 0, seed=1)
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_starts_reject_negative_seeds(count):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        generate_starts(2, count, seed=-1)
+
+
+def test_bench_run_rejects_negative_seeds():
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -5"):
+        small_run(rng_seed=-5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--problem", "analytic2d", "--seed", "-1", "--starts", "1"],
+    ["bench", "--problem", "analytic2d", "--seed", "-1", "--starts", "2"],
+    ["bench", "--problem", "hphard:3:-1", "--starts", "1"],
+])
+def test_main_rejects_negative_seeds(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "got -1" in captured.err
+
+
 # --- run configuration -------------------------------------------------------------
 
 

@@ -19,11 +19,25 @@ loaded = sorted(m for m in sys.modules if m.startswith("smoothncp"))
 listed = set(dir(smoothncp))
 missing_from_dir = [name for name in smoothncp.__all__ if name not in listed]
 unresolved = [name for name in smoothncp.__all__ if not hasattr(smoothncp, name)]
+loaded_after = sorted(m for m in sys.modules if m.startswith("smoothncp"))
+
+# every catalog head, the seeded ones with and without a seed, the protocol
+# starts and a one-start bench draw through the library's own generator
+from smoothncp.problems import _CATALOG
+selectors = [head if not spec.fields else f"{head}:{spec.n + 2}" for head, spec in _CATALOG.items()]
+selectors += [f"{head}:{spec.n + 3}:7" for head, spec in _CATALOG.items() if spec.fields == 2]
+problems = [smoothncp.ProblemSpec.from_selector(text) for text in selectors]
+for spec in problems:
+    spec.build()
+smoothncp.generate_starts(5, 11, 1)
+smoothncp.run_bench(smoothncp.BenchRun(tuple(problems), ("rational",), starts_per_problem=1))
 print(json.dumps({
     "loaded": loaded,
     "missing_from_dir": missing_from_dir,
     "unresolved": unresolved,
-    "loaded_after": sorted(m for m in sys.modules if m.startswith("smoothncp")),
+    "loaded_after": loaded_after,
+    "built": selectors,
+    "numpy_random": "numpy.random" in sys.modules,
 }))
 """
 
@@ -53,6 +67,9 @@ def test_import_loads_only_the_solver_stack():
     # resolving every public name loads the analysis and CLI modules
     assert "smoothncp.analysis" in probe["loaded_after"]
     assert "smoothncp.cli" in probe["loaded_after"]
+    # no library path imports numpy.random, only the tests do
+    assert len(probe["built"]) == len(set(probe["built"])) == 9
+    assert not probe["numpy_random"]
 
 
 def test_lazy_names_are_the_submodule_objects():

@@ -154,15 +154,6 @@ def test_active_set_hand_example():
     assert np.array_equal(x, [1.0, 0.0])
 
 
-def test_active_set_validates_inputs():
-    with pytest.raises(ValueError):
-        active_set_solve(np.eye(13), np.zeros(13))
-    with pytest.raises(ValueError):
-        active_set_solve(np.ones((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        active_set_solve(np.eye(2), np.zeros(3))
-
-
 def test_active_set_reports_infeasibility():
     with pytest.raises(RuntimeError, match="no complementary basis"):
         active_set_solve(np.zeros((1, 1)), np.array([-1.0]))
@@ -220,6 +211,21 @@ def test_selector_rejects_sizes_the_family_lacks(bad, message):
     # the size rule is checked when the selector is parsed, not at build time
     with pytest.raises(ValueError, match=f"^{message}$"):
         ProblemSpec.from_selector(bad)
+
+
+@pytest.mark.parametrize("selector", ["hphard:20:-1", "linspd:8:-3", "hphard:1:-4294967297"])
+def test_selector_rejects_negative_seeds(selector):
+    # at parse time, with the seed in the message, not from the build
+    seed = selector.rsplit(":", 1)[1]
+    with pytest.raises(ValueError, match=f"needs a seed >= 0, got {seed}$"):
+        ProblemSpec.from_selector(selector)
+
+
+def test_spec_rejects_negative_seeds():
+    with pytest.raises(ValueError, match="hp_hard needs a seed >= 0, got -2"):
+        ProblemSpec(id="hp_hard", n=5, seed=-2)
+    with pytest.raises(ValueError, match="linear_spd needs a seed >= 0, got -1"):
+        ProblemSpec(id="linear_spd", n=5, seed=-1)
 
 
 def test_spec_field_validation():
