@@ -66,10 +66,10 @@ class NcpProblem:
     super-diagonal in columns 1:, row 1 the diagonal and row 2 the
     sub-diagonal in columns :-1 (the layout of LAPACK's banded storage with
     one band on each side); the other two entries are ignored.  jacobian()
-    still returns the dense matrix, and the solver takes O(n) Newton steps
-    on the bands.  known_solutions are reference points validated at
-    construction time against Res <= 1e-8 and Feas <= 1e-8.  meta carries
-    family-specific constants (matrices, eigenvalues, oracle solutions).
+    returns the bands too, and the solver takes O(n) Newton steps on them.
+    known_solutions are reference points validated at construction time
+    against Res <= 1e-8 and Feas <= 1e-8.  meta carries family-specific
+    constants (matrices, eigenvalues, oracle solutions).
     """
 
     name: str
@@ -112,18 +112,10 @@ class NcpProblem:
         return fx
 
     def jacobian(self, x, counter: EvalCounter | None = None) -> np.ndarray:
-        """Jacobian of F; analytic when available, forward differences otherwise.
-
-        Either path counts as a single Jacobian evaluation; the bands of a
-        tridiagonal problem are expanded to the dense matrix.
-        """
-        if self.tridiagonal:
-            bands = self.jacobian_bands(x, counter)
-            jf = np.diag(bands[1])
-            idx = np.arange(self.n - 1)
-            jf[idx, idx + 1] = bands[0, 1:]
-            jf[idx + 1, idx] = bands[2, :-1]
-            return jf
+        """Jacobian of F in the problem's own form: the n-by-n matrix, or the
+        (3, n) bands of the class docstring when tridiagonal.  Analytic when
+        available, forward differences otherwise; either counts as a single
+        Jacobian evaluation."""
         x_ = np.asarray(x, dtype=float)
         if counter is not None:
             counter.jac_evals += 1
@@ -131,22 +123,10 @@ class NcpProblem:
             jf = np.asarray(self.eval_JF(x_), dtype=float)
         else:
             jf = fd_jacobian(self.eval_F, x_)
-        if jf.shape != (self.n, self.n):
-            raise ValueError(f"Jacobian has shape {jf.shape}, expected square")
+        shape = (3, self.n) if self.tridiagonal else (self.n, self.n)
+        if jf.shape != shape:
+            raise ValueError(f"Jacobian has shape {jf.shape}, expected {shape}")
         return jf
-
-    def jacobian_bands(self, x, counter: EvalCounter | None = None) -> np.ndarray:
-        """The (3, n) bands of a tridiagonal Jacobian, in the layout of the
-        class docstring; counts as a single Jacobian evaluation."""
-        if not self.tridiagonal:
-            raise ValueError(f"{self.name!r} does not declare a tridiagonal Jacobian")
-        x_ = np.asarray(x, dtype=float)
-        if counter is not None:
-            counter.jac_evals += 1
-        bands = np.asarray(self.eval_JF(x_), dtype=float)
-        if bands.shape != (3, self.n):
-            raise ValueError(f"Jacobian bands have shape {bands.shape}, expected (3, {self.n})")
-        return bands
 
 
 @dataclass(frozen=True)

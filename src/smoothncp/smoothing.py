@@ -111,7 +111,7 @@ def h_r(problem, kernel: SmoothingKernel, x, r: float, counter=None) -> np.ndarr
 def h_r_jacobian(
     problem, kernel: SmoothingKernel, x, r: float, counter=None, fx=None
 ) -> np.ndarray:
-    """Jacobian D1 + D2 * JF(x) of the smoothed residual.
+    """Jacobian D1 + D2 * JF(x) of the smoothed residual, always dense.
 
     D1 and D2 are the diagonal soft-min partials at (x_i, F_i(x)).  Counts as
     one Jacobian evaluation on `counter`; the finite-difference fallback used
@@ -122,12 +122,23 @@ def h_r_jacobian(
     if fx is None:
         fx = problem.F(x_, counter)
     d1, d2 = g_r_partials(kernel, x_, fx, r)
-    return _newton_matrix(d1, d2, problem.jacobian(x_, counter))
+    jac = _newton_matrix(d1, d2, problem.jacobian(x_, counter), problem.tridiagonal)
+    if not problem.tridiagonal:
+        return jac
+    # the one place a banded Newton matrix is expanded to dense
+    dl, diag, du = jac
+    out = np.diag(diag)
+    i = np.arange(problem.n - 1)
+    out[i, i + 1], out[i + 1, i] = du, dl
+    return out
 
 
-def _newton_matrix(d1, d2, jf) -> np.ndarray:
-    """Dense D1 + D2 * JF from the soft-min partials d1, d2 and the Jacobian
-    of F; the Newton matrix the solver factors."""
+def _newton_matrix(d1, d2, jf, tridiagonal: bool):
+    """The Newton matrix D1 + D2 * JF from the soft-min partials d1, d2, in
+    the form of jf: dense, or for the (3, n) bands of a tridiagonal problem
+    its sub-, main and super-diagonals (dl, d, du)."""
+    if tridiagonal:
+        return d2[1:] * jf[2, :-1], d2 * jf[1] + d1, d2[:-1] * jf[0, 1:]
     out = d2[:, None] * jf
     out.flat[:: len(d1) + 1] += d1
     return out

@@ -215,10 +215,9 @@ def _newton_step(jf, d1, d2, h, tridiagonal: bool):
     singular or non-finite solve is retried once with a diagonal nudge of
     1e-10 (1 + row-sum norm).
     """
+    jac_h = _newton_matrix(d1, d2, jf, tridiagonal)
     if tridiagonal:
-        dl = d2[1:] * jf[2, :-1]
-        du = d2[:-1] * jf[0, 1:]
-        diag = d2 * jf[1] + d1
+        dl, diag, du = jac_h
         d = _finite(solve_tridiagonal(dl, diag, du, -h))
         if d is None:
             norm = np.abs(diag)
@@ -227,7 +226,6 @@ def _newton_step(jf, d1, d2, h, tridiagonal: bool):
             bump = 1e-10 * (1.0 + float(norm.max()))
             d = _finite(solve_tridiagonal(dl, diag + bump, du, -h))
         return d
-    jac_h = _newton_matrix(d1, d2, jf)
     d = _solve_dense(jac_h, h)
     if d is None:
         bump = 1e-10 * (1.0 + float(np.abs(jac_h).sum(axis=1).max()))
@@ -267,7 +265,6 @@ def newton_inner(
     hinf = float(np.abs(h).max())
     iters = 0
     jac_evals = 0
-    jacobian = problem.jacobian_bands if problem.tridiagonal else problem.jacobian
 
     def result(status):
         return InnerResult(
@@ -283,7 +280,7 @@ def newton_inner(
     while hinf > cfg.inner_tol:
         if iters >= cfg.max_inner:
             return result(InnerStatus.MAX_ITERATIONS)
-        jf = jacobian(x, counter)
+        jf = problem.jacobian(x, counter)
         jac_evals += 1
         try:
             d1, d2 = g_r_partials(kernel, x, fx, r)

@@ -104,23 +104,25 @@ def tridiagonal_problem():
     return p, bands, dense
 
 
-def test_tridiagonal_jacobian_bands_and_dense_expansion():
+def test_tridiagonal_jacobian_returns_bands():
     p, bands, dense = tridiagonal_problem()
     c = EvalCounter()
-    assert np.array_equal(p.jacobian_bands(np.ones(3), c), bands)
-    assert np.array_equal(p.jacobian(np.ones(3), c), dense)
-    assert c.jac_evals == 2
+    assert np.array_equal(p.jacobian(np.ones(3), c), bands)
+    assert c.jac_evals == 1
 
 
 def test_tridiagonal_declaration_checks():
     with pytest.raises(ValueError, match="eval_JF"):
         NcpProblem(name="tri", n=2, eval_F=lambda x: x, tridiagonal=True)
-    with pytest.raises(ValueError, match="tridiagonal"):
-        NcpProblem(name="plain", n=2, eval_F=lambda x: x).jacobian_bands(np.ones(2))
+    # bands are read as bands only when the problem declares them
+    bands = np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 0.0]])
+    plain = NcpProblem(name="plain", n=2, eval_F=lambda x: x, eval_JF=lambda x: bands)
+    with pytest.raises(ValueError, match=r"shape \(3, 2\), expected \(2, 2\)"):
+        plain.jacobian(np.ones(2))
     wrong = NcpProblem(
         name="tri", n=2, eval_F=lambda x: x, eval_JF=lambda x: np.eye(2), tridiagonal=True,
     )
-    with pytest.raises(ValueError, match="bands"):
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(3, 2\)"):
         wrong.jacobian(np.ones(2))
 
 

@@ -460,7 +460,36 @@ def test_newton_matrix_is_diagonal_plus_scaled_jacobian(n):
     rng = np.random.default_rng(n)
     d1, d2 = rng.uniform(0.0, 1.0, (2, n))
     jf = rng.normal(size=(n, n))
-    assert (_newton_matrix(d1, d2, jf) == np.diag(d1) + d2[:, None] * jf).all()
+    dense = np.diag(d1) + d2[:, None] * jf
+    assert (_newton_matrix(d1, d2, jf, False) == dense).all()
+    # the bands of a tridiagonal jf give the three diagonals of that matrix
+    bands = np.zeros((3, n))
+    bands[0, 1:], bands[1], bands[2, :-1] = jf.diagonal(1), jf.diagonal(), jf.diagonal(-1)
+    dl, diag, du = _newton_matrix(d1, d2, bands, True)
+    assert (dl == dense.diagonal(-1)).all()
+    assert (diag == dense.diagonal()).all()
+    assert (du == dense.diagonal(1)).all()
+
+
+@pytest.mark.parametrize("selector", ["monotone:2", "monotone:10"])
+def test_h_r_jacobian_expands_tridiagonal_bands_bit_for_bit(kernel, selector):
+    # the dense Newton matrix of the same problem with its bands expanded
+    problem = problem_from_selector(selector)
+
+    def dense_jf(x):
+        bands = problem.jacobian(x)
+        out = np.diag(bands[1])
+        i = np.arange(problem.n - 1)
+        out[i, i + 1], out[i + 1, i] = bands[0, 1:], bands[2, :-1]
+        return out
+
+    dense = NcpProblem(name="dense", n=problem.n, eval_F=problem.eval_F, eval_JF=dense_jf)
+    x = np.linspace(0.2, 2.0, problem.n)
+    for r in (1.0, 1e-3):
+        c = EvalCounter()
+        jac = h_r_jacobian(problem, kernel, x, r, counter=c)
+        assert (c.f_evals, c.jac_evals) == (1, 1)
+        assert jac.tobytes() == h_r_jacobian(dense, kernel, x, r).tobytes()
 
 
 def test_fd_jacobian_on_quadratic():

@@ -556,7 +556,12 @@ def test_tridiagonal_solve_nan_gives_non_finite():
 
 def dense_copy(problem):
     """The same problem with its Jacobian handed to the solver as a dense matrix."""
-    return dataclasses.replace(problem, eval_JF=problem.jacobian, tridiagonal=False)
+
+    def dense_jf(x):
+        bands = problem.jacobian(x)
+        return tridiagonal_dense(bands[2, :-1], bands[1], bands[0, 1:])
+
+    return dataclasses.replace(problem, eval_JF=dense_jf, tridiagonal=False)
 
 
 def solve_spy(monkeypatch):
