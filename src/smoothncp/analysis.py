@@ -94,8 +94,8 @@ class AnalysisReport:
 
 def log_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
     """Geometric grid with a fixed point density per decade."""
-    if not 0.0 < lo < hi:
-        raise ValueError("log_grid requires 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError("log_grid requires 0 < lo < hi < inf")
     decades = math.log10(hi / lo)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(lo, hi, n)
@@ -229,7 +229,7 @@ def g_hessian_entries(kernel: SmoothingKernel, s, t):
 
     Arguments must lie inside the analytic domain (x > x_low).  Where
     psi(s) + psi(t) is not finite and positive, FloatingPointError is raised,
-    as g_r raises it.
+    as g_r raises it; so it is where W^3 underflows to 0.
     """
     if kernel.analytic is None:
         raise ValueError(f"kernel {kernel.name} has no analytic branch")
@@ -244,6 +244,8 @@ def g_hessian_entries(kernel: SmoothingKernel, s, t):
     w = np.asarray(br.dpsi(mid), dtype=float)
     u = np.asarray(br.d2psi(mid), dtype=float)
     w3 = w**3
+    if np.any(w3 == 0.0):
+        raise FloatingPointError("soft-min evaluation left the representable range of psi")
     r_entry = (br.d2psi(s_) * w**2 - br.dpsi(s_) ** 2 * u) / w3
     t_entry = (br.d2psi(t_) * w**2 - br.dpsi(t_) ** 2 * u) / w3
     s_entry = -br.dpsi(s_) * br.dpsi(t_) * u / w3

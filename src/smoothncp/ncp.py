@@ -157,8 +157,8 @@ def error_bound(modulus: ErrorModulus, n: int, r: float) -> float:
     """Distance bound h_inv(n * r^2); requires n * r^2 inside the modulus range."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("r must be finite and nonnegative")
     v = n * r * r
     if v >= modulus.eta:
         raise ValueError(

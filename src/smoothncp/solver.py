@@ -18,6 +18,7 @@ projected point can have Res = 0 and still violate F >= 0.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,9 +78,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("outer_tol", "inner_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("max_outer", "max_inner"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if not self.outer_tol > R_FLOOR ** 2:
@@ -327,8 +330,9 @@ def continuation_solve(
     the infeasible region.  A hard inner breakdown (singular linearization)
     retries once at the geometric mean of the failed and the previous r,
     warm started from the same point; a second breakdown ends the run with
-    inner_failure.  Domain errors at accepted or projected points end the
-    run with evaluation_error.  The run converges at the first level with
+    inner_failure.  Domain errors at accepted or projected points, and a
+    start where F or Res is not finite, end the run with evaluation_error;
+    a start that is not finite raises ValueError.  The run converges at the first level with
     Res <= outer_tol and Feas <= sqrt(outer_tol); Res alone is zero at any
     projected point where each x_i F_i = 0, even when some F_i < 0.
     """
@@ -337,6 +341,8 @@ def continuation_solve(
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n,):
         raise ValueError(f"expected start of shape ({problem.n},), got {x.shape}")
+    if not _all_finite(x):
+        raise ValueError("the start must be finite")
     counter = EvalCounter()
     feas_tol = math.sqrt(cfg.outer_tol)
     trace: list[TracePoint] = []
@@ -357,10 +363,13 @@ def continuation_solve(
 
     try:
         fx = problem.F(x, counter)
+        res = res_metric(x, fx)
     except EvaluationError:
+        res = math.nan
+    # F(x0) or Res(x0) out of range would set r to inf: no level can start
+    if not math.isfinite(res):
         trace.append(TracePoint(0, math.inf, x.copy(), math.inf, math.inf, 0, None))
         return report(SolveStatus.EVALUATION_ERROR, math.inf, math.inf)
-    res = res_metric(x, fx)
     feas = feas_metric(x, fx)
     r = r_init(res)
     prev_r = None

@@ -169,6 +169,17 @@ def test_hessian_entries_raise_when_the_psi_sum_underflows():
         g_r(kernel, 10.0, 10.0, 1.0)
 
 
+def test_concavity_raises_when_the_hessian_denominator_underflows():
+    # psi(G) is a positive sum here, but psi'(G)^3 underflows to 0, which
+    # made R, T and S 0/0 = NaN and the check report "violated"
+    kernel = kernel_from_selector("phi:1.002")
+    message = "soft-min evaluation left the representable range of psi"
+    with pytest.raises(FloatingPointError, match=message):
+        g_hessian_entries(kernel, 1.0, 2.0)
+    with pytest.raises(FloatingPointError, match=message):
+        check_concavity(kernel, np.geomspace(0.1, 1.0, 33))
+
+
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)
 def test_concavity_check_holds(selector):
     rep = check_concavity(kernel_from_selector(selector), np.geomspace(0.1, 10.0, 65))
@@ -740,3 +751,6 @@ def test_log_grid_shape():
     assert g[0] == 0.1 and g[-1] == 10.0
     np.testing.assert_allclose(g[1:] / g[:-1], 10.0 ** (1.0 / 8.0), rtol=1e-12)
     assert log_grid(1.0, 1000.0).size == 3 * 64 + 1
+    for lo, hi in [(1.0, 1.0), (0.0, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="log_grid requires 0 < lo < hi < inf"):
+            log_grid(lo, hi)

@@ -300,6 +300,16 @@ def test_main_solve_exit_code(capsys):
     assert "analytic2d" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["solve", "trace", "bench"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_main_rejects_tolerances_that_are_not_finite_and_positive(command, tol, capsys):
+    # solve --tol inf used to report every start converged, and exit 0
+    assert main([command, "--problem", "ks", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: outer_tol must be finite and positive\n"
+
+
 def test_main_analyze_exit_codes(capsys):
     assert main(["analyze", "--theta", "rational", "--check", "concavity"]) == 0
     assert main(["analyze", "--theta", "rational", "--check", "ha", "--a", "0.25"]) == 0

@@ -177,6 +177,9 @@ def test_modulus_validation():
         error_bound(mod, 0, 0.1)
     with pytest.raises(ValueError):
         error_bound(mod, 4, -0.1)
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="r must be finite and nonnegative"):
+            error_bound(mod, 3, r)
 
 
 def test_error_bound_respects_modulus_range():

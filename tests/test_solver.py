@@ -85,6 +85,11 @@ def test_config_defaults():
         {"max_inner": 0},
         {"max_inner": -1},
         {"outer_tol": 1e-33},
+        {"outer_tol": math.inf},
+        {"inner_tol": math.inf},
+        {"max_outer": 2.5},
+        {"max_inner": 10.0},
+        {"max_outer": "3"},
     ],
 )
 def test_config_validation(kwargs):
@@ -462,6 +467,32 @@ def test_continuation_inner_failure(exponential):
 def test_continuation_rejects_bad_start_shape(exponential, analytic2d_problem):
     with pytest.raises(ValueError):
         continuation_solve(analytic2d_problem, exponential, np.ones(3))
+
+
+@pytest.mark.parametrize("x0", [[math.inf, 1.0], [1.0, -math.inf], [math.nan, 1.0]])
+def test_continuation_rejects_non_finite_start(kernel, analytic2d_problem, x0):
+    # [inf, 1] blamed r, and [nan, 1] ended inner_failure with Res = NaN
+    with pytest.raises(ValueError, match="the start must be finite"):
+        continuation_solve(analytic2d_problem, kernel, x0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", ["F overflows", "Res overflows", "F is NaN"])
+def test_continuation_start_out_of_range_is_an_evaluation_error(kernel, analytic2d_problem, case):
+    # the path an EvaluationError at the start takes: one trace point at
+    # level 0 and r = inf, where r_init(inf) used to fail inside g_r
+    problem, x0 = {
+        "F overflows": (analytic2d_problem, [1e300, 1e300]),
+        "Res overflows": (NcpProblem(name="id", n=1, eval_F=lambda x: x), [1e200]),
+        "F is NaN": (NcpProblem(name="nan", n=1, eval_F=lambda x: x * math.nan), [1.0]),
+    }[case]
+    rep = continuation_solve(problem, kernel, x0)
+    assert rep.status is SolveStatus.EVALUATION_ERROR
+    assert (rep.out_iter, rep.in_iter, rep.f_evals) == (1, 0, 1)
+    assert math.isinf(rep.res) and math.isinf(rep.feas)
+    (point,) = rep.trace
+    assert (point.outer_index, point.inner_iters, point.inner_status) == (0, 0, None)
+    assert math.isinf(point.r)
 
 
 def test_continuation_deterministic(kernel, ks_problem):
