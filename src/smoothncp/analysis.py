@@ -228,8 +228,8 @@ def g_hessian_entries(kernel: SmoothingKernel, s, t):
         R = (psi''(s) W^2 - psi'(s)^2 U) / W^3,     W = psi'(G), U = psi''(G).
 
     Arguments must lie inside the analytic domain (x > x_low).  Where
-    psi(s) + psi(t) is not finite and positive, FloatingPointError is raised,
-    as g_r raises it; so it is where W^3 underflows to 0.
+    psi(s) + psi(t) is not finite and positive, or W^3 underflows to 0,
+    FloatingPointError is raised, as g_r raises it for the sum.
     """
     if kernel.analytic is None:
         raise ValueError(f"kernel {kernel.name} has no analytic branch")

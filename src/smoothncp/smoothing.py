@@ -125,7 +125,6 @@ def h_r_jacobian(
     jac = _newton_matrix(d1, d2, problem.jacobian(x_, counter), problem.tridiagonal)
     if not problem.tridiagonal:
         return jac
-    # the one place a banded Newton matrix is expanded to dense
     dl, diag, du = jac
     out = np.diag(diag)
     i = np.arange(problem.n - 1)

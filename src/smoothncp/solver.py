@@ -332,9 +332,10 @@ def continuation_solve(
     warm started from the same point; a second breakdown ends the run with
     inner_failure.  Domain errors at accepted or projected points, and a
     start where F or Res is not finite, end the run with evaluation_error;
-    a start that is not finite raises ValueError.  The run converges at the first level with
-    Res <= outer_tol and Feas <= sqrt(outer_tol); Res alone is zero at any
-    projected point where each x_i F_i = 0, even when some F_i < 0.
+    a start that is not finite raises ValueError.  The run converges at the
+    first level with Res <= outer_tol and Feas <= sqrt(outer_tol); Res alone
+    is zero at any projected point where each x_i F_i = 0, even when some
+    F_i < 0.
     """
     if cfg is None:
         cfg = SolverConfig()
