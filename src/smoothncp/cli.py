@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -28,7 +27,6 @@ from .analysis import (
     v_function,
 )
 from .kernels import kernel_from_selector
-from .ncp import EvaluationError, NcpProblem
 from .problems import ProblemSpec
 from .solver import SolverConfig, SolveStatus, continuation_solve
 
@@ -103,43 +101,50 @@ class BenchRun:
                 raise TypeError("problems must be ProblemSpec instances")
 
 
+def _campaign(run: BenchRun):
+    """Solve a campaign row by row: yield (problem, kernel selector, reports),
+    one report per protocol start.  Each problem is built, and its starts
+    drawn, once for all kernels."""
+    cfg = SolverConfig(outer_tol=run.tol)
+    for pspec in run.problems:
+        problem = pspec.build()
+        starts = generate_starts(problem.n, run.starts_per_problem, run.rng_seed)
+        for ksel in run.kernels:
+            kernel = kernel_from_selector(ksel)
+            yield problem, ksel, [continuation_solve(problem, kernel, x0, cfg) for x0 in starts]
+
+
 def run_bench(run: BenchRun):
     """Execute a campaign; aggregate worst-case rows per (problem, kernel).
 
     Returns (rows, per_start_detail, all_converged).  Failures never abort
     the suite; they lower the converged count and flip the exit flag.
     """
-    cfg = SolverConfig(outer_tol=run.tol)
     rows = []
     detail = []
-    for pspec in run.problems:
-        problem = pspec.build()
-        starts = generate_starts(problem.n, run.starts_per_problem, run.rng_seed)
-        for ksel in run.kernels:
-            kernel = kernel_from_selector(ksel)
-            reports = [continuation_solve(problem, kernel, x0, cfg) for x0 in starts]
-            records = [{
-                "problem": problem.name,
-                "n": problem.n,
-                "kernel": ksel,
-                "start": i,
-                "status": rep.status.value,
-                "OutIter": rep.out_iter,
-                "InIter": rep.in_iter,
-                "Res": rep.res,
-                "Feas": rep.feas,
-                "wall_s": rep.wall_time,
-            } for i, rep in enumerate(reports)]
-            conv = [rec for rec in records if rec["status"] == SolveStatus.CONVERGED.value]
-            pool = conv or records
-            rows.append({
-                **{key: records[0][key] for key in ("problem", "n", "kernel")},
-                **{key: max(rec[key] for rec in records) for key in ("OutIter", "InIter")},
-                **{key: max(rec[key] for rec in pool) for key in ("Res", "Feas")},
-                "converged": f"{len(conv)}/{len(records)}",
-                "wall_s": sum(rec["wall_s"] for rec in records),
-            })
-            detail.extend(records)
+    for problem, ksel, reports in _campaign(run):
+        records = [{
+            "problem": problem.name,
+            "n": problem.n,
+            "kernel": ksel,
+            "start": i,
+            "status": rep.status.value,
+            "OutIter": rep.out_iter,
+            "InIter": rep.in_iter,
+            "Res": rep.res,
+            "Feas": rep.feas,
+            "wall_s": rep.wall_time,
+        } for i, rep in enumerate(reports)]
+        conv = [rec for rec in records if rec["status"] == SolveStatus.CONVERGED.value]
+        pool = conv or records
+        rows.append({
+            **{key: records[0][key] for key in ("problem", "n", "kernel")},
+            **{key: max(rec[key] for rec in records) for key in ("OutIter", "InIter")},
+            **{key: max(rec[key] for rec in pool) for key in ("Res", "Feas")},
+            "converged": f"{len(conv)}/{len(records)}",
+            "wall_s": sum(rec["wall_s"] for rec in records),
+        })
+        detail.extend(records)
     return rows, detail, all(rec["status"] == SolveStatus.CONVERGED.value for rec in detail)
 
 
@@ -183,38 +188,31 @@ def format_table(rows, fmt: str, detail=None) -> str:
     return "\n".join(out)
 
 
-def run_trace(problem: NcpProblem, kernel_selectors, x0, cfg: SolverConfig | None = None):
-    """Solve once per kernel and dump every trace point as CSV lines.
+def run_trace(run: BenchRun):
+    """Render every trace point of a campaign as CSV lines.
 
-    Columns: kernel, outer_index, r, x_1..x_n, F_1..F_n, res, feas.  Values
+    Columns: kernel, outer_index, r, x_1..x_n, F_1..F_n, res, feas, under a
+    header line for each problem, and one block of rows per start.  Values
     are printed with 17 significant digits so the file round-trips floats.
+    Returns (lines, all_converged).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if cfg is None:
-        cfg = SolverConfig()
-    names = (
-        ["kernel", "outer_index", "r"]
-        + [f"x_{i + 1}" for i in range(problem.n)]
-        + [f"F_{i + 1}" for i in range(problem.n)]
-        + ["res", "feas"]
-    )
-    lines = [",".join(names)]
-    for ksel in kernel_selectors:
-        kernel = kernel_from_selector(ksel)
-        report = continuation_solve(problem, kernel, x0, cfg)
-        for tp in report.trace:
-            try:
-                fx = problem.F(tp.x)
-            except EvaluationError:
-                fx = np.full(problem.n, math.nan)
-            values = (
-                [f"{tp.r:.17g}"]
-                + [f"{v:.17g}" for v in tp.x]
-                + [f"{v:.17g}" for v in fx]
-                + [f"{tp.res:.17g}", f"{tp.feas:.17g}"]
-            )
-            lines.append(",".join([ksel, str(tp.outer_index)] + values))
-    return lines
+    lines = []
+    all_ok = True
+    header = None
+    for problem, ksel, reports in _campaign(run):
+        if header is not problem:
+            header = problem
+            lines.append(",".join(
+                ["kernel", "outer_index", "r"]
+                + [f"{name}_{i + 1}" for name in "xF" for i in range(problem.n)]
+                + ["res", "feas"]
+            ))
+        for rep in reports:
+            all_ok = all_ok and rep.status is SolveStatus.CONVERGED
+            for tp in rep.trace:
+                values = [tp.r, *tp.x, *tp.fx, tp.res, tp.feas]
+                lines.append(",".join([ksel, str(tp.outer_index)] + [f"{v:.17g}" for v in values]))
+    return lines, all_ok
 
 
 def run_analyze(kernel_selector: str, check: str, a: float = 0.25, s_max: float = 50.0) -> dict:
@@ -328,15 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args) -> int:
-    # the first protocol start is the vector of ones
-    run = BenchRun(
-        problems=tuple(ProblemSpec.from_selector(s) for s in args.problem or ["analytic2d"]),
+def _bench_run(args, problems) -> BenchRun:
+    """The campaign of a solve, bench or trace command.  solve and trace run
+    the first protocol start only: the vector of ones."""
+    return BenchRun(
+        problems=tuple(ProblemSpec.from_selector(s) for s in problems),
         kernels=tuple(args.theta or DEFAULT_KERNELS),
-        starts_per_problem=1,
+        starts_per_problem=getattr(args, "starts", 1),
+        rng_seed=getattr(args, "seed", 1),
         tol=args.tol,
     )
-    _, detail, all_ok = run_bench(run)
+
+
+def _cmd_solve(args) -> int:
+    _, detail, all_ok = run_bench(_bench_run(args, args.problem or ["analytic2d"]))
     lines = [
         f"{d['problem']} theta={d['kernel']} status={d['status']} "
         f"OutIter={d['OutIter']} InIter={d['InIter']} "
@@ -348,24 +351,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    run = BenchRun(
-        problems=tuple(ProblemSpec.from_selector(s) for s in args.problem or DEFAULT_SUITE),
-        kernels=tuple(args.theta or DEFAULT_KERNELS),
-        starts_per_problem=args.starts,
-        rng_seed=args.seed,
-        tol=args.tol,
-    )
-    rows, detail, all_ok = run_bench(run)
+    rows, detail, all_ok = run_bench(_bench_run(args, args.problem or DEFAULT_SUITE))
     text = format_table(rows, args.format, detail if args.verbose else None)
     _emit(text, args.out)
     return 0 if all_ok else 1
 
 
 def _cmd_trace(args) -> int:
-    problem = ProblemSpec.from_selector(args.problem).build()
-    kernels = args.theta or list(DEFAULT_KERNELS)
-    cfg = SolverConfig(outer_tol=args.tol)
-    lines = run_trace(problem, kernels, np.ones(problem.n), cfg)
+    lines, _ = run_trace(_bench_run(args, [args.problem]))
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -93,13 +93,15 @@ class SolverConfig:
 class TracePoint:
     """State after one outer iteration: the point handed on from one r.
 
-    inner_status is how that level's inner solve ended, or None when the
-    level ended in an error before the inner solve returned.
+    fx is F at x, or NaN where F raised there.  inner_status is how that
+    level's inner solve ended, or None when the level ended in an error
+    before the inner solve returned.
     """
 
     outer_index: int
     r: float
     x: np.ndarray = field(repr=False)
+    fx: np.ndarray = field(repr=False)
     res: float
     feas: float
     inner_iters: int
@@ -137,8 +139,6 @@ class InnerResult:
     iterations: int
     jac_evals: int
     status: InnerStatus
-    merit_history: list = field(repr=False)
-    residual_inf: float
 
 
 def r_init(res: float) -> float:
@@ -264,21 +264,12 @@ def newton_inner(
     fx = problem.F(x, counter) if fx0 is None else np.asarray(fx0, dtype=float)
     h = g_r(kernel, x, fx, r)
     merit = 0.5 * float(h @ h)
-    merits = [merit]
     hinf = float(np.abs(h).max())
     iters = 0
     jac_evals = 0
 
     def result(status):
-        return InnerResult(
-            x=x,
-            fx=fx,
-            iterations=iters,
-            jac_evals=jac_evals,
-            status=status,
-            merit_history=merits,
-            residual_inf=hinf,
-        )
+        return InnerResult(x=x, fx=fx, iterations=iters, jac_evals=jac_evals, status=status)
 
     while hinf > cfg.inner_tol:
         if iters >= cfg.max_inner:
@@ -308,7 +299,6 @@ def newton_inner(
             return result(InnerStatus.STALLED)
         x, fx, h, merit = trial, fx_t, h_t, merit_t
         hinf = float(np.abs(h).max())
-        merits.append(merit)
         iters += 1
     return result(InnerStatus.SUCCESS)
 
@@ -332,10 +322,9 @@ def continuation_solve(
     warm started from the same point; a second breakdown ends the run with
     inner_failure.  Domain errors at accepted or projected points, and a
     start where F or Res is not finite, end the run with evaluation_error;
-    a start that is not finite raises ValueError.  The run converges at the
-    first level with Res <= outer_tol and Feas <= sqrt(outer_tol); Res alone
-    is zero at any projected point where each x_i F_i = 0, even when some
-    F_i < 0.
+    a start that is not finite raises ValueError.  The run converges at the first level with Res <= outer_tol
+    and Feas <= sqrt(outer_tol); Res alone is zero at any projected point
+    where each x_i F_i = 0, even when some F_i < 0.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -362,15 +351,20 @@ def continuation_solve(
             trace=trace,
         )
 
+    def stop(status, k, r, res, feas, iters=0, inner_status=None):
+        """Keep a trace point at the current x and fx, then end the run."""
+        trace.append(TracePoint(k, r, x.copy(), fx, res, feas, iters, inner_status))
+        return report(status, res, feas)
+
     try:
         fx = problem.F(x, counter)
         res = res_metric(x, fx)
     except EvaluationError:
+        fx = np.full(problem.n, math.nan)
         res = math.nan
     # F(x0) or Res(x0) out of range would set r to inf: no level can start
     if not math.isfinite(res):
-        trace.append(TracePoint(0, math.inf, x.copy(), math.inf, math.inf, 0, None))
-        return report(SolveStatus.EVALUATION_ERROR, math.inf, math.inf)
+        return stop(SolveStatus.EVALUATION_ERROR, 0, math.inf, math.inf, math.inf)
     feas = feas_metric(x, fx)
     r = r_init(res)
     prev_r = None
@@ -383,23 +377,21 @@ def continuation_solve(
                 if retry.status is not InnerStatus.SINGULAR_JACOBIAN:
                     inner, r = retry, r_retry
         except EvaluationError:
-            trace.append(TracePoint(k, r, x.copy(), math.inf, math.inf, 0, None))
-            return report(SolveStatus.EVALUATION_ERROR, math.inf, math.inf)
+            return stop(SolveStatus.EVALUATION_ERROR, k, r, math.inf, math.inf)
         except ArithmeticError:
-            trace.append(TracePoint(k, r, x.copy(), res, feas, 0, None))
-            return report(SolveStatus.INNER_FAILURE, res, feas)
+            return stop(SolveStatus.INNER_FAILURE, k, r, res, feas)
         x, fx = inner.x, inner.fx
         if inner.status is InnerStatus.STALLED and (x < 0.0).any():
             x = np.maximum(x, 0.0)
             try:
                 fx = problem.F(x, counter)
             except EvaluationError:
-                trace.append(TracePoint(
-                    k, r, x.copy(), math.inf, math.inf, inner.iterations, inner.status))
-                return report(SolveStatus.EVALUATION_ERROR, math.inf, math.inf)
+                fx = np.full(problem.n, math.nan)
+                return stop(SolveStatus.EVALUATION_ERROR, k, r, math.inf, math.inf,
+                            inner.iterations, inner.status)
         res = res_metric(x, fx)
         feas = feas_metric(x, fx)
-        trace.append(TracePoint(k, r, x.copy(), res, feas, inner.iterations, inner.status))
+        trace.append(TracePoint(k, r, x.copy(), fx, res, feas, inner.iterations, inner.status))
         if inner.status is InnerStatus.SINGULAR_JACOBIAN:
             return report(SolveStatus.INNER_FAILURE, res, feas)
         if res <= cfg.outer_tol and feas <= feas_tol:

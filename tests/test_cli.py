@@ -280,8 +280,8 @@ def test_analyze_key_order(check, keys):
 
 
 def test_trace_lines():
-    problem = ProblemSpec.from_selector("analytic2d").build()
-    lines = run_trace(problem, ["rational", "exp"], np.ones(2))
+    lines, ok = run_trace(small_run(starts_per_problem=1))
+    assert ok is True
     assert lines[0] == "kernel,outer_index,r,x_1,x_2,F_1,F_2,res,feas"
     for selector in ("rational", "exp"):
         block = [l.split(",") for l in lines[1:] if l.startswith(selector + ",")]
