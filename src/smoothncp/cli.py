@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 
 import numpy as np
@@ -90,6 +91,9 @@ class BenchRun:
     tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("starts_per_problem", "rng_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.starts_per_problem < 1:
             raise ValueError("starts_per_problem must be at least 1")
         if self.rng_seed < 0:
@@ -358,9 +362,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    lines, _ = run_trace(_bench_run(args, [args.problem]))
+    lines, all_ok = run_trace(_bench_run(args, [args.problem]))
     _emit("\n".join(lines), args.out)
-    return 0
+    return 0 if all_ok else 1
 
 
 def _cmd_analyze(args) -> int:

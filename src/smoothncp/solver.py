@@ -321,8 +321,9 @@ def continuation_solve(
     retries once at the geometric mean of the failed and the previous r,
     warm started from the same point; a second breakdown ends the run with
     inner_failure.  Domain errors at accepted or projected points, and a
-    start where F or Res is not finite, end the run with evaluation_error;
-    a start that is not finite raises ValueError.  The run converges at the first level with Res <= outer_tol
+    start or level whose Res is not finite, end the run with
+    evaluation_error at Res = Feas = inf; a start that is not finite raises
+    ValueError.  The run converges at the first level with Res <= outer_tol
     and Feas <= sqrt(outer_tol); Res alone is zero at any projected point
     where each x_i F_i = 0, even when some F_i < 0.
     """
@@ -351,17 +352,19 @@ def continuation_solve(
             trace=trace,
         )
 
-    def stop(status, k, r, res, feas, iters=0, inner_status=None):
+    def stop(status, k, r, res, feas):
         """Keep a trace point at the current x and fx, then end the run."""
-        trace.append(TracePoint(k, r, x.copy(), fx, res, feas, iters, inner_status))
+        trace.append(TracePoint(k, r, x.copy(), fx, res, feas, 0, None))
         return report(status, res, feas)
 
-    try:
-        fx = problem.F(x, counter)
-        res = res_metric(x, fx)
-    except EvaluationError:
-        fx = np.full(problem.n, math.nan)
-        res = math.nan
+    def f_or_nan():
+        try:
+            return problem.F(x, counter)
+        except EvaluationError:
+            return np.full(problem.n, math.nan)
+
+    fx = f_or_nan()
+    res = res_metric(x, fx)
     # F(x0) or Res(x0) out of range would set r to inf: no level can start
     if not math.isfinite(res):
         return stop(SolveStatus.EVALUATION_ERROR, 0, math.inf, math.inf, math.inf)
@@ -383,19 +386,21 @@ def continuation_solve(
         x, fx = inner.x, inner.fx
         if inner.status is InnerStatus.STALLED and (x < 0.0).any():
             x = np.maximum(x, 0.0)
-            try:
-                fx = problem.F(x, counter)
-            except EvaluationError:
-                fx = np.full(problem.n, math.nan)
-                return stop(SolveStatus.EVALUATION_ERROR, k, r, math.inf, math.inf,
-                            inner.iterations, inner.status)
-        res = res_metric(x, fx)
-        feas = feas_metric(x, fx)
+            fx = f_or_nan()
+        res, feas = res_metric(x, fx), feas_metric(x, fx)
+        end = None
+        if not math.isfinite(res):
+            # F raised at the projected point, or x_i F_i left the floats:
+            # no later level can start from here
+            res = feas = math.inf
+            end = SolveStatus.EVALUATION_ERROR
+        elif inner.status is InnerStatus.SINGULAR_JACOBIAN:
+            end = SolveStatus.INNER_FAILURE
+        elif res <= cfg.outer_tol and feas <= feas_tol:
+            end = SolveStatus.CONVERGED
         trace.append(TracePoint(k, r, x.copy(), fx, res, feas, inner.iterations, inner.status))
-        if inner.status is InnerStatus.SINGULAR_JACOBIAN:
-            return report(SolveStatus.INNER_FAILURE, res, feas)
-        if res <= cfg.outer_tol and feas <= feas_tol:
-            return report(SolveStatus.CONVERGED, res, feas)
+        if end is not None:
+            return report(end, res, feas)
         prev_r = r
         r_new = r_update(r, res)
         if r_new >= r:

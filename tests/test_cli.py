@@ -110,6 +110,11 @@ def test_bench_run_validation():
         small_run(kernels=("cubic",))
     with pytest.raises(ValueError, match="starts_per_problem"):
         small_run(starts_per_problem=0)
+    # both used to build, then fail in generate_starts after the first build
+    with pytest.raises(ValueError, match="starts_per_problem must be an integer"):
+        small_run(starts_per_problem=2.5)
+    with pytest.raises(ValueError, match="rng_seed must be an integer"):
+        small_run(rng_seed=1.5)
 
 
 # --- aggregation ---------------------------------------------------------------------
@@ -361,6 +366,18 @@ def test_main_trace_writes_file(tmp_path, capsys):
     assert code == 0
     assert out.read_text().splitlines()[0] == "kernel,outer_index,r,x_1,x_2,F_1,F_2,res,feas"
     capsys.readouterr()
+
+
+def test_main_trace_exit_code_follows_convergence(capsys):
+    # hphard:50/exp ends max_outer_exceeded from the ones start; trace used
+    # to print its points and exit 0 where solve exits 1
+    argv = ["--problem", "hphard:50", "--theta", "exp"]
+    assert main(["solve", *argv]) == 1
+    assert "status=max_outer_exceeded" in capsys.readouterr().out
+    assert main(["trace", *argv]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("kernel,outer_index,r,x_1,")
+    assert len(lines) > 1 and all(line.startswith("exp,") for line in lines[1:])
 
 
 def test_main_unwritable_output(capsys):

@@ -26,6 +26,7 @@ from smoothncp import (
 )
 from smoothncp.ncp import feas_metric, res_metric
 from smoothncp import solver as solver_module
+from smoothncp.cli import DEFAULT_SUITE
 from smoothncp.solver import solve_tridiagonal
 
 
@@ -325,6 +326,7 @@ def test_continuation_projection_evaluation_error(exponential, monkeypatch):
     assert math.isinf(rep.res) and math.isinf(rep.feas)
     assert np.array_equal(rep.x_final, [0.0, 2.0])
     assert rep.trace[-1].inner_status is InnerStatus.STALLED
+    assert np.isnan(rep.trace[-1].fx).all()
     # F(x0), then the F call that raised at the projected point
     assert rep.f_evals == 2
 
@@ -381,8 +383,7 @@ UNSTALLED_ROWS = {
 }
 
 
-@pytest.mark.parametrize("selector", ["analytic2d", "ks", "monotone:10", "monotone:100",
-                                      "hphard:20", "nash5"])
+@pytest.mark.parametrize("selector", DEFAULT_SUITE)
 def test_default_suite_rows(kernel, selector):
     problem = problem_from_selector(selector)
     reports = [continuation_solve(problem, kernel, x0)
@@ -504,6 +505,40 @@ def test_continuation_start_out_of_range_is_an_evaluation_error(kernel, analytic
     (point,) = rep.trace
     assert (point.outer_index, point.inner_iters, point.inner_status) == (0, 0, None)
     assert math.isinf(point.r)
+
+
+def test_continuation_level_out_of_range_is_an_evaluation_error(exponential, analytic2d_problem):
+    # level 0 stalls at r ~ 1e100 and hands on x = (0, 5.4e97), where
+    # F_2 = 1.6e293 and Res = x_2 F_2 = inf; the 49 levels after it used to
+    # stall with 0 iterations and end max_outer_exceeded at Res = inf
+    rep = continuation_solve(analytic2d_problem, exponential, [1e50, 1e50])
+    assert rep.status is SolveStatus.EVALUATION_ERROR
+    assert math.isinf(rep.res) and math.isinf(rep.feas)
+    (point,) = rep.trace
+    assert (point.outer_index, point.inner_status) == (0, InnerStatus.STALLED)
+    assert point.r == pytest.approx(1e100)
+    assert math.isinf(point.res) and math.isinf(point.feas)
+    assert np.array_equal(point.x, rep.x_final)
+    assert point.fx.tobytes() == analytic2d_problem.F(point.x).tobytes()
+
+
+def test_trace_points_keep_f_at_their_x(kernel, ks_problem, analytic2d_problem):
+    # from start 28 of this seed, analytic2d's first levels stall and project
+    for problem, x0 in ((ks_problem, np.ones(4)),
+                        (analytic2d_problem, generate_starts(2, 30, seed=1752995437)[28])):
+        rep = continuation_solve(problem, kernel, x0)
+        assert rep.status is SolveStatus.CONVERGED
+        for tp in rep.trace:
+            assert tp.fx.tobytes() == problem.F(tp.x).tobytes()
+
+    def eval_F(x):
+        raise EvaluationError("F is undefined everywhere")
+
+    nowhere = NcpProblem(name="nowhere", n=2, eval_F=eval_F, eval_JF=lambda x: np.eye(2))
+    rep = continuation_solve(nowhere, kernel, np.ones(2))
+    assert rep.status is SolveStatus.EVALUATION_ERROR
+    (point,) = rep.trace
+    assert np.isnan(point.fx).all()
 
 
 def test_continuation_deterministic(kernel, ks_problem):
