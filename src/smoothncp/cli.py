@@ -202,10 +202,10 @@ def run_trace(run: BenchRun):
     """
     lines = []
     all_ok = True
-    header = None
+    headed = None
     for problem, ksel, reports in _campaign(run):
-        if header is not problem:
-            header = problem
+        if problem is not headed:
+            headed = problem
             lines.append(",".join(
                 ["kernel", "outer_index", "r"]
                 + [f"{name}_{i + 1}" for name in "xF" for i in range(problem.n)]
