@@ -1,4 +1,4 @@
-"""Problem abstraction, residual metrics, and error moduli.
+"""Problem abstraction and residual metrics.
 
 A complementarity problem asks for x >= 0 with F(x) >= 0 and x_i F_i(x) = 0
 per component.  Progress is measured by two metrics: Res(x), the worst
@@ -8,7 +8,6 @@ parts of x and F(x).  Both vanish together exactly at solutions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,11 +18,8 @@ from .smoothing import EvalCounter, fd_jacobian
 __all__ = [
     "EvaluationError",
     "NcpProblem",
-    "ErrorModulus",
-    "quadratic_modulus",
     "res_metric",
     "feas_metric",
-    "error_bound",
 ]
 
 SOLUTION_TOL = 1e-8
@@ -38,12 +34,14 @@ class EvaluationError(Exception):
 
 
 def res_metric(x, fx) -> float:
-    """Res(x) = max_i |x_i * F_i(x)|."""
+    """Res(x) = max_i |x_i * F_i(x)|; inf or NaN, without a warning, where
+    a product leaves the floats."""
     x_ = np.asarray(x, dtype=float)
     f_ = np.asarray(fx, dtype=float)
     if x_.shape != f_.shape:
         raise ValueError("x and F(x) must have matching shapes")
-    return float(np.max(np.abs(x_ * f_)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(x_ * f_)))
 
 
 def feas_metric(x, fx) -> float:
@@ -127,41 +125,3 @@ class NcpProblem:
         if jf.shape != shape:
             raise ValueError(f"Jacobian has shape {jf.shape}, expected {shape}")
         return jf
-
-
-@dataclass(frozen=True)
-class ErrorModulus:
-    """Monotonicity modulus h with its inverse h_inv, valid on [0, eta).
-
-    Models the assumption h(||x - y||) <= <x - y, F(x) - F(y)> near the
-    solution, which converts the residual bound n * r^2 into the error bound
-    ||x* - x(r)|| <= h_inv(n * r^2).
-    """
-
-    h: Callable = field(repr=False)
-    h_inv: Callable = field(repr=False)
-    eta: float = math.inf
-
-
-def quadratic_modulus(mu: float) -> ErrorModulus:
-    """Modulus family h(u) = mu * u^2, the strong-monotonicity case."""
-    if not mu > 0.0:
-        raise ValueError("quadratic modulus requires mu > 0")
-    return ErrorModulus(
-        h=lambda u: mu * np.asarray(u, dtype=float) ** 2,
-        h_inv=lambda v: np.sqrt(np.asarray(v, dtype=float) / mu),
-    )
-
-
-def error_bound(modulus: ErrorModulus, n: int, r: float) -> float:
-    """Distance bound h_inv(n * r^2); requires n * r^2 inside the modulus range."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0.0 <= r < math.inf:
-        raise ValueError("r must be finite and nonnegative")
-    v = n * r * r
-    if v >= modulus.eta:
-        raise ValueError(
-            f"residual level n*r^2 = {v:g} outside the modulus range [0, {modulus.eta:g})"
-        )
-    return float(modulus.h_inv(v))

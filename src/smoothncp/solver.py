@@ -35,10 +35,6 @@ __all__ = [
     "SolverConfig",
     "TracePoint",
     "SolveReport",
-    "InnerResult",
-    "r_init",
-    "r_update",
-    "newton_inner",
     "continuation_solve",
 ]
 
@@ -137,7 +133,6 @@ class InnerResult:
     x: np.ndarray = field(repr=False)
     fx: np.ndarray = field(repr=False)
     iterations: int
-    jac_evals: int
     status: InnerStatus
 
 
@@ -263,19 +258,19 @@ def newton_inner(
     x = np.asarray(x0, dtype=float).copy()
     fx = problem.F(x, counter) if fx0 is None else np.asarray(fx0, dtype=float)
     h = g_r(kernel, x, fx, r)
-    merit = 0.5 * float(h @ h)
+    # np.vdot, unlike h @ h, raises no overflow warning: an inf merit only
+    # shortens the step
+    merit = 0.5 * float(np.vdot(h, h))
     hinf = float(np.abs(h).max())
     iters = 0
-    jac_evals = 0
 
     def result(status):
-        return InnerResult(x=x, fx=fx, iterations=iters, jac_evals=jac_evals, status=status)
+        return InnerResult(x=x, fx=fx, iterations=iters, status=status)
 
     while hinf > cfg.inner_tol:
         if iters >= cfg.max_inner:
             return result(InnerStatus.MAX_ITERATIONS)
         jf = problem.jacobian(x, counter)
-        jac_evals += 1
         try:
             d1, d2 = g_r_partials(kernel, x, fx, r)
         except ArithmeticError:
@@ -288,7 +283,7 @@ def newton_inner(
             try:
                 fx_t = problem.F(trial, counter)
                 h_t = g_r(kernel, trial, fx_t, r)
-                merit_t = 0.5 * float(h_t @ h_t)
+                merit_t = 0.5 * float(np.vdot(h_t, h_t))
             except (EvaluationError, ArithmeticError):
                 merit_t = math.inf
             # strict inequality keeps every accepted step a real decrease

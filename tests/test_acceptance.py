@@ -21,7 +21,6 @@ from smoothncp import (
     check_concavity,
     check_speed_bound,
     continuation_solve,
-    error_bound,
     g_hessian_entries,
     g_r,
     g_r_deriv_r,
@@ -30,11 +29,12 @@ from smoothncp import (
     h_r_jacobian,
     kernel_from_selector,
     l_function,
-    newton_inner,
     problem_from_selector,
-    quadratic_modulus,
 )
 from smoothncp.cli import DEFAULT_KERNELS as KERNELS, DEFAULT_SUITE as SUITE, _campaign
+from smoothncp.solver import newton_inner
+
+from error_estimate import error_bound, quadratic_modulus
 
 ALL_PROBLEMS = ("analytic2d", "ks", "nash5", "nash10", "hphard:20", "monotone:10", "linspd:8")
 

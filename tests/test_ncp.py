@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from smoothncp import (
-    ErrorModulus,
     EvalCounter,
     EvaluationError,
     NcpProblem,
-    error_bound,
     feas_metric,
     problem_from_selector,
-    quadratic_modulus,
     res_metric,
 )
+
+from error_estimate import ErrorModulus, error_bound, quadratic_modulus
 
 # The tests of the sampled P-checks live with the checks in p_sampling.py;
 # imported here, they run as tests of this module.

@@ -84,17 +84,16 @@ def test_lazy_names_are_the_submodule_objects():
 
 
 def test_public_names():
-    assert len(smoothncp.__all__) == len(set(smoothncp.__all__)) == 44
+    assert len(smoothncp.__all__) == len(set(smoothncp.__all__)) == 37
     assert sorted(smoothncp.__all__) == [
-        "AnalysisReport", "AnalyticBranch", "BenchRun", "ErrorModulus", "EvalCounter",
-        "EvaluationError", "HaReport", "InnerResult", "InnerStatus", "LimitEstimate",
-        "NcpProblem", "ProblemSpec", "SmoothingKernel", "SolveReport", "SolveStatus",
-        "SolverConfig", "TracePoint", "check_Ha", "check_concavity", "check_speed_bound",
-        "check_subadditivity", "continuation_solve", "error_bound", "fd_jacobian",
-        "feas_metric", "g_hessian_entries", "g_r", "g_r_deriv_r", "g_r_partials",
-        "generate_starts", "h_r", "h_r_jacobian", "kernel_from_selector", "l_function",
-        "limit_probe", "log_grid", "newton_inner", "problem_from_selector",
-        "quadratic_modulus", "r_init", "r_update", "res_metric", "run_bench", "v_function",
+        "AnalysisReport", "AnalyticBranch", "BenchRun", "EvalCounter", "EvaluationError",
+        "HaReport", "InnerStatus", "LimitEstimate", "NcpProblem", "ProblemSpec",
+        "SmoothingKernel", "SolveReport", "SolveStatus", "SolverConfig", "TracePoint",
+        "check_Ha", "check_concavity", "check_speed_bound", "check_subadditivity",
+        "continuation_solve", "fd_jacobian", "feas_metric", "g_hessian_entries", "g_r",
+        "g_r_deriv_r", "g_r_partials", "generate_starts", "h_r", "h_r_jacobian",
+        "kernel_from_selector", "l_function", "limit_probe", "log_grid",
+        "problem_from_selector", "res_metric", "run_bench", "v_function",
     ]
 
 

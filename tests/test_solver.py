@@ -1,6 +1,7 @@
 """Damped Newton inner solver and the r-continuation outer loop."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from smoothncp import (
     EvalCounter,
     EvaluationError,
-    InnerResult,
     InnerStatus,
     NcpProblem,
     SolveStatus,
@@ -19,15 +19,13 @@ from smoothncp import (
     generate_starts,
     h_r,
     h_r_jacobian,
-    newton_inner,
+    kernel_from_selector,
     problem_from_selector,
-    r_init,
-    r_update,
 )
 from smoothncp.ncp import feas_metric, res_metric
 from smoothncp import solver as solver_module
 from smoothncp.cli import DEFAULT_SUITE
-from smoothncp.solver import solve_tridiagonal
+from smoothncp.solver import InnerResult, newton_inner, r_init, r_update, solve_tridiagonal
 
 
 def line1d():
@@ -151,11 +149,12 @@ def merits_of(problem, kernel, r, x0, iterations):
 
 def test_inner_merit_strictly_decreases(kernel):
     mono = problem_from_selector("monotone:10")
-    res = newton_inner(mono, kernel, 0.1, np.ones(10))
+    counter = EvalCounter()
+    res = newton_inner(mono, kernel, 0.1, np.ones(10), counter=counter)
     assert res.status is InnerStatus.SUCCESS
     merits = merits_of(mono, kernel, 0.1, np.ones(10), res.iterations)
     assert all(b < a for a, b in zip(merits, merits[1:]))
-    assert res.jac_evals == res.iterations
+    assert counter.jac_evals == res.iterations
 
 
 def test_inner_quadratic_tail(exponential):
@@ -283,8 +282,7 @@ def spy_inner(monkeypatch, reply=None):
 def canned(status):
     """An inner result at x = (-1, 2) of F(x) = x - 1."""
     return InnerResult(
-        x=np.array([-1.0, 2.0]), fx=np.array([-2.0, 1.0]), iterations=2, jac_evals=2,
-        status=status,
+        x=np.array([-1.0, 2.0]), fx=np.array([-2.0, 1.0]), iterations=2, status=status,
     )
 
 
@@ -336,8 +334,7 @@ def test_continuation_needs_feasibility_to_converge(exponential, analytic2d_prob
     # Res = 0, but F(0, 0) = (2, -2) violates F >= 0
     x = np.array([-1.0, -1.0])
     stalled = InnerResult(
-        x=x, fx=analytic2d_problem.eval_F(x), iterations=1, jac_evals=1,
-        status=InnerStatus.STALLED)
+        x=x, fx=analytic2d_problem.eval_F(x), iterations=1, status=InnerStatus.STALLED)
     spy_inner(monkeypatch, stalled)
     rep = continuation_solve(analytic2d_problem, exponential, np.ones(2))
     assert rep.trace[0].res == 0.0 and rep.trace[0].feas == 2.0
@@ -476,6 +473,48 @@ def test_continuation_inner_failure(exponential):
     assert rep.trace[0].inner_status is InnerStatus.SINGULAR_JACOBIAN
 
 
+def nan_on_calls(problem, calls):
+    """A copy of `problem` whose Jacobian is NaN on the given calls, counted from 0."""
+    made = itertools.count()
+
+    def eval_JF(x):
+        jf = problem.eval_JF(x)
+        return np.full_like(jf, math.nan) if next(made) in calls else jf
+
+    return dataclasses.replace(problem, eval_JF=eval_JF)
+
+
+@pytest.mark.parametrize(
+    "selector, kernel_name, level", [("analytic2d", "exp", 1), ("monotone:10", "rational", 2)])
+def test_continuation_retries_a_singular_level_at_the_geometric_mean(
+        selector, kernel_name, level):
+    problem, kernel = problem_from_selector(selector), kernel_from_selector(kernel_name)
+    x0 = np.ones(problem.n)
+    clean = continuation_solve(problem, kernel, x0)
+    assert all(tp.inner_status is InnerStatus.SUCCESS for tp in clean.trace)
+    assert len(clean.trace) > level + 1
+    # every level before `level` is solved, one Jacobian per iteration
+    first = sum(tp.inner_iters for tp in clean.trace[:level])
+    r_prev, r_failed = clean.trace[level - 1].r, clean.trace[level].r
+
+    # the level's first Jacobian is NaN, the retry's is not
+    rep = continuation_solve(nan_on_calls(problem, {first}), kernel, x0)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.trace[level].r == math.sqrt(r_failed * r_prev)
+    assert rep.trace[level].inner_status is InnerStatus.SUCCESS
+    assert rep.trace[level + 1].r < rep.trace[level].r
+
+    # the retry's first Jacobian is NaN too: the run ends at that level
+    rep = continuation_solve(nan_on_calls(problem, {first, first + 1}), kernel, x0)
+    assert rep.status is SolveStatus.INNER_FAILURE
+    assert len(rep.trace) == rep.out_iter == level + 1
+    point = rep.trace[level]
+    assert (point.r, point.inner_iters) == (r_failed, 0)
+    assert point.inner_status is InnerStatus.SINGULAR_JACOBIAN
+    assert np.array_equal(point.x, rep.trace[level - 1].x)
+    assert rep.in_iter == first + 2
+
+
 def test_continuation_rejects_bad_start_shape(exponential, analytic2d_problem):
     with pytest.raises(ValueError):
         continuation_solve(analytic2d_problem, exponential, np.ones(3))
@@ -507,6 +546,7 @@ def test_continuation_start_out_of_range_is_an_evaluation_error(kernel, analytic
     assert math.isinf(point.r)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_continuation_level_out_of_range_is_an_evaluation_error(exponential, analytic2d_problem):
     # level 0 stalls at r ~ 1e100 and hands on x = (0, 5.4e97), where
     # F_2 = 1.6e293 and Res = x_2 F_2 = inf; the 49 levels after it used to
@@ -659,12 +699,13 @@ def test_inner_singular_tridiagonal_nudges_then_fails(exponential, monkeypatch):
         eval_JF=lambda x: np.full((3, 3), math.nan), tridiagonal=True,
     )
     diagonals = solve_spy(monkeypatch)
-    tri = newton_inner(nan_tri, exponential, 1.0, np.zeros(3))
-    dense = newton_inner(dense_copy(nan_tri), exponential, 1.0, np.zeros(3))
+    counters = EvalCounter(), EvalCounter()
+    tri = newton_inner(nan_tri, exponential, 1.0, np.zeros(3), counter=counters[0])
+    dense = newton_inner(dense_copy(nan_tri), exponential, 1.0, np.zeros(3), counter=counters[1])
     assert len(diagonals) == 2  # the plain solve, then the nudged one
-    for res in (tri, dense):
+    for res, counter in zip((tri, dense), counters):
         assert res.status is InnerStatus.SINGULAR_JACOBIAN
-        assert (res.iterations, res.jac_evals) == (0, 1)
+        assert (res.iterations, counter.jac_evals) == (0, 1)
 
 
 def test_inner_zero_tridiagonal_matrix_takes_the_nudged_step(exponential, monkeypatch):
