@@ -8,8 +8,7 @@ independently, via the L function), the r -> 0 limit dichotomy, and the
 linear speed bound for g_r as a function of r.
 
 The halving check returns a HaReport; every other check returns an
-AnalysisReport with an explicit outcome and, when the property fails, a
-witness point.
+AnalysisReport, which holds exactly when it carries no witness point.
 """
 
 from __future__ import annotations
@@ -71,25 +70,23 @@ class AnalysisReport:
 
     max_defect is the worst signed slack seen: positive values mean the
     property was violated by that amount, negative values are margin.
-    witness is present exactly when outcome == "violated".
+    witness is the point where the check failed, or None, and outcome
+    follows from it: "violated" exactly when a witness is given.
     """
 
     property: str
     grid: str
-    outcome: str
+    outcome: str = field(init=False)
     max_defect: float
     witness: dict | None = None
     details: dict | None = None
 
     def __post_init__(self):
-        if self.outcome not in ("holds", "violated"):
-            raise ValueError("outcome must be 'holds' or 'violated'")
-        if self.outcome == "violated" and self.witness is None:
-            raise ValueError("violated reports require a witness")
+        object.__setattr__(self, "outcome", "holds" if self.holds else "violated")
 
     @property
     def holds(self) -> bool:
-        return self.outcome == "holds"
+        return self.witness is None
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
@@ -202,20 +199,10 @@ def check_subadditivity(
                 "f(alpha+beta)": float(lhs[i, j]),
                 "f(alpha)+f(beta)": float(vals[i0 + i] + vals[j]),
             }
-    max_defect = float(np.max(block_max))
-    desc = f"{grid.size} pts in [{grid[0]:g}, {grid[-1]:g}], all pairs"
-    if max_defect <= 0.0:
-        return AnalysisReport(
-            property=f"subadditivity({name})",
-            grid=desc,
-            outcome="holds",
-            max_defect=max_defect,
-        )
     return AnalysisReport(
         property=f"subadditivity({name})",
-        grid=desc,
-        outcome="violated",
-        max_defect=max_defect,
+        grid=f"{grid.size} pts in [{grid[0]:g}, {grid[-1]:g}], all pairs",
+        max_defect=float(np.max(block_max)),
         witness=witness,
     )
 
@@ -293,22 +280,13 @@ def check_concavity(kernel: SmoothingKernel, grid: np.ndarray) -> AnalysisReport
     l_ok = mono_defect <= 0.0 and sub_report.holds
 
     span = f"[{grid[0]:g}, {grid[-1]:g}]"
-    desc = f"{grid.size}x{grid.size} pts in {span}x{span}"
     details = {
         "hessian_route": "holds" if hess_ok else "violated",
         "l_route": "holds" if l_ok else "violated",
         "l_monotonicity_defect": mono_defect,
         "l_subadditivity_defect": sub_report.max_defect,
     }
-    max_defect = max(hess_max, mono_defect, sub_report.max_defect)
-    if hess_ok and l_ok:
-        return AnalysisReport(
-            property="concavity",
-            grid=desc,
-            outcome="holds",
-            max_defect=max_defect,
-            details=details,
-        )
+    witness = None
     if not hess_ok:
         i, j = divmod(worst, grid.size)
         r_e, t_e, s_e = g_hessian_entries(kernel, grid[i], grid[j])
@@ -321,9 +299,8 @@ def check_concavity(kernel: SmoothingKernel, grid: np.ndarray) -> AnalysisReport
             "route": "hessian",
         }
     elif sub_report.witness is not None:
-        witness = dict(sub_report.witness)
-        witness["route"] = "L-subadditivity"
-    else:
+        witness = {**sub_report.witness, "route": "L-subadditivity"}
+    elif not l_ok:
         k = int(np.argmax(lvals[1:] - lvals[:-1]))
         witness = {
             "alpha": float(alphas[k]),
@@ -334,9 +311,8 @@ def check_concavity(kernel: SmoothingKernel, grid: np.ndarray) -> AnalysisReport
         }
     return AnalysisReport(
         property="concavity",
-        grid=desc,
-        outcome="violated",
-        max_defect=max_defect,
+        grid=f"{grid.size}x{grid.size} pts in {span}x{span}",
+        max_defect=max(hess_max, mono_defect, sub_report.max_defect),
         witness=witness,
         details=details,
     )
@@ -505,25 +481,20 @@ def check_speed_bound(kernel: SmoothingKernel, s: float, t: float, r0: float) ->
     derivative = rdf - (fr - f0) - SPEED_SLACK
     worst = np.maximum(np.maximum(upper, lower), derivative)
     max_defect = float(worst.max())
-    desc = f"s={s:g}, t={t:g}, r0={r0:g}, {rs.size} r values"
     # a NaN max_defect takes the scan below: a NaN defect hides no violation
     violated = () if max_defect <= 0.0 else np.flatnonzero(worst > 0.0)
-    if len(violated) == 0:
-        return AnalysisReport(
-            property="speed_bound", grid=desc, outcome="holds", max_defect=max_defect
-        )
-    k = int(violated[0])
-    sides = (upper[k], lower[k], derivative[k])
-    witness = {
-        "r": float(rs[k]),
-        "f(r)": float(fr[k]),
-        "f(0)": f0,
-        "side": _SPEED_SIDES[int(np.argmax(sides))],
-    }
+    witness = None
+    if len(violated):
+        k = int(violated[0])
+        witness = {
+            "r": float(rs[k]),
+            "f(r)": float(fr[k]),
+            "f(0)": f0,
+            "side": _SPEED_SIDES[int(np.argmax((upper[k], lower[k], derivative[k])))],
+        }
     return AnalysisReport(
         property="speed_bound",
-        grid=desc,
-        outcome="violated",
+        grid=f"s={s:g}, t={t:g}, r0={r0:g}, {rs.size} r values",
         max_defect=max_defect,
         witness=witness,
     )

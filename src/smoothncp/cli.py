@@ -213,9 +213,9 @@ def run_trace(run: BenchRun):
             ))
         for rep in reports:
             all_ok = all_ok and rep.status is SolveStatus.CONVERGED
-            for tp in rep.trace:
+            for level, tp in enumerate(rep.trace):
                 values = [tp.r, *tp.x, *tp.fx, tp.res, tp.feas]
-                lines.append(",".join([ksel, str(tp.outer_index)] + [f"{v:.17g}" for v in values]))
+                lines.append(",".join([ksel, str(level)] + [f"{v:.17g}" for v in values]))
     return lines, all_ok
 
 

@@ -28,10 +28,6 @@ SOLUTION_TOL = 1e-8
 class EvaluationError(Exception):
     """Raised when F (or its Jacobian) is asked for a point outside its domain."""
 
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
 
 def res_metric(x, fx) -> float:
     """Res(x) = max_i |x_i * F_i(x)|; inf or NaN, without a warning, where
@@ -53,7 +49,7 @@ def feas_metric(x, fx) -> float:
     return float(np.maximum(-x_, 0.0).sum() + np.maximum(-f_, 0.0).sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class NcpProblem:
     """A complementarity problem instance.
 

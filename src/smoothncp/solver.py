@@ -85,16 +85,15 @@ class SolverConfig:
             raise ValueError("outer_tol must exceed R_FLOOR squared")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TracePoint:
     """State after one outer iteration: the point handed on from one r.
 
-    fx is F at x, or NaN where F raised there.  inner_status is how that
-    level's inner solve ended, or None when the level ended in an error
-    before the inner solve returned.
+    Its level is its index in SolveReport.trace.  fx is F at x, or NaN
+    where F raised there.  inner_status is how that level's inner solve
+    ended, or None when the level ended in an error before it returned.
     """
 
-    outer_index: int
     r: float
     x: np.ndarray = field(repr=False)
     fx: np.ndarray = field(repr=False)
@@ -104,7 +103,7 @@ class TracePoint:
     inner_status: InnerStatus | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a continuation run.
 
@@ -128,7 +127,7 @@ class SolveReport:
     trace: list = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerResult:
     x: np.ndarray = field(repr=False)
     fx: np.ndarray = field(repr=False)
@@ -298,6 +297,7 @@ def newton_inner(
     return result(InnerStatus.SUCCESS)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def continuation_solve(
     problem: NcpProblem,
     kernel: SmoothingKernel,
@@ -320,7 +320,9 @@ def continuation_solve(
     evaluation_error at Res = Feas = inf; a start that is not finite raises
     ValueError.  The run converges at the first level with Res <= outer_tol
     and Feas <= sqrt(outer_tol); Res alone is zero at any projected point
-    where each x_i F_i = 0, even when some F_i < 0.
+    where each x_i F_i = 0, even when some F_i < 0.  The run handles inf and
+    NaN itself, so numpy's overflow, divide and invalid warnings are off
+    for all of it, F and JF included (not in a direct newton_inner call).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -347,9 +349,9 @@ def continuation_solve(
             trace=trace,
         )
 
-    def stop(status, k, r, res, feas):
+    def stop(status, r, res, feas):
         """Keep a trace point at the current x and fx, then end the run."""
-        trace.append(TracePoint(k, r, x.copy(), fx, res, feas, 0, None))
+        trace.append(TracePoint(r, x.copy(), fx, res, feas, 0, None))
         return report(status, res, feas)
 
     def f_or_nan():
@@ -362,11 +364,11 @@ def continuation_solve(
     res = res_metric(x, fx)
     # F(x0) or Res(x0) out of range would set r to inf: no level can start
     if not math.isfinite(res):
-        return stop(SolveStatus.EVALUATION_ERROR, 0, math.inf, math.inf, math.inf)
+        return stop(SolveStatus.EVALUATION_ERROR, math.inf, math.inf, math.inf)
     feas = feas_metric(x, fx)
     r = r_init(res)
     prev_r = None
-    for k in range(cfg.max_outer):
+    for _ in range(cfg.max_outer):
         try:
             inner = newton_inner(problem, kernel, r, x, cfg, counter, fx0=fx)
             if inner.status is InnerStatus.SINGULAR_JACOBIAN and prev_r is not None:
@@ -375,9 +377,9 @@ def continuation_solve(
                 if retry.status is not InnerStatus.SINGULAR_JACOBIAN:
                     inner, r = retry, r_retry
         except EvaluationError:
-            return stop(SolveStatus.EVALUATION_ERROR, k, r, math.inf, math.inf)
+            return stop(SolveStatus.EVALUATION_ERROR, r, math.inf, math.inf)
         except ArithmeticError:
-            return stop(SolveStatus.INNER_FAILURE, k, r, res, feas)
+            return stop(SolveStatus.INNER_FAILURE, r, res, feas)
         x, fx = inner.x, inner.fx
         if inner.status is InnerStatus.STALLED and (x < 0.0).any():
             x = np.maximum(x, 0.0)
@@ -393,7 +395,7 @@ def continuation_solve(
             end = SolveStatus.INNER_FAILURE
         elif res <= cfg.outer_tol and feas <= feas_tol:
             end = SolveStatus.CONVERGED
-        trace.append(TracePoint(k, r, x.copy(), fx, res, feas, inner.iterations, inner.status))
+        trace.append(TracePoint(r, x.copy(), fx, res, feas, inner.iterations, inner.status))
         if end is not None:
             return report(end, res, feas)
         prev_r = r

@@ -46,14 +46,7 @@ def _p_sample_report(problem, map_fn, pair_count, seed, strict, prop, extra):
         if violated and witness is None:
             witness = {"pair": k, "x": x.tolist(), "y": y.tolist(), "value": m}
     desc = f"{pair_count} pairs from sample box, seed {seed}{extra}"
-    if witness is None:
-        return AnalysisReport(
-            property=prop, grid=desc, outcome="holds", max_defect=max_defect
-        )
-    return AnalysisReport(
-        property=prop, grid=desc, outcome="violated",
-        max_defect=max_defect, witness=witness,
-    )
+    return AnalysisReport(property=prop, grid=desc, max_defect=max_defect, witness=witness)
 
 
 def p0_sample_test(problem: NcpProblem, pair_count: int = 200, seed: int = 0):

@@ -496,13 +496,11 @@ def _speed_bound_by_parts(kernel, s, t, r0):
     rep = {
         "property": "speed_bound",
         "grid": f"s={s:g}, t={t:g}, r0={r0:g}, {rs.size} r values",
-        "outcome": "holds",
         "max_defect": float(worst.max()),
     }
     bad = np.flatnonzero(worst > 0.0)
     if bad.size:
         k = int(bad[0])
-        rep["outcome"] = "violated"
         rep["witness"] = {
             "r": float(rs[k]),
             "f(r)": float(fr[k]),

@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothncp import (
-    EvalCounter,
-    EvaluationError,
-    NcpProblem,
-    feas_metric,
-    problem_from_selector,
-    res_metric,
-)
+from smoothncp import EvalCounter, NcpProblem, feas_metric, res_metric
 
 from error_estimate import ErrorModulus, error_bound, quadratic_modulus
 
@@ -132,15 +125,6 @@ def test_finite_difference_jacobian_fallback():
     jf = p.jacobian(x, c)
     assert c.jac_evals == 1
     np.testing.assert_allclose(jf, np.diag(2 * x), rtol=1e-6)
-
-
-def test_evaluation_error_carries_index():
-    err = EvaluationError("bad component", index=3)
-    assert err.index == 3
-    nash = problem_from_selector("nash5")
-    with pytest.raises(EvaluationError) as excinfo:
-        nash.F(-np.ones(5))
-    assert excinfo.value.index is None
 
 
 # --- error moduli ------------------------------------------------------------------

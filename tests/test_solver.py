@@ -541,8 +541,8 @@ def test_continuation_start_out_of_range_is_an_evaluation_error(kernel, analytic
     assert rep.status is SolveStatus.EVALUATION_ERROR
     assert (rep.out_iter, rep.in_iter, rep.f_evals) == (1, 0, 1)
     assert math.isinf(rep.res) and math.isinf(rep.feas)
-    (point,) = rep.trace
-    assert (point.outer_index, point.inner_iters, point.inner_status) == (0, 0, None)
+    (point,) = rep.trace  # level 0 is the trace's first point
+    assert (point.inner_iters, point.inner_status) == (0, None)
     assert math.isinf(point.r)
 
 
@@ -554,12 +554,36 @@ def test_continuation_level_out_of_range_is_an_evaluation_error(exponential, ana
     rep = continuation_solve(analytic2d_problem, exponential, [1e50, 1e50])
     assert rep.status is SolveStatus.EVALUATION_ERROR
     assert math.isinf(rep.res) and math.isinf(rep.feas)
-    (point,) = rep.trace
-    assert (point.outer_index, point.inner_status) == (0, InnerStatus.STALLED)
+    (point,) = rep.trace  # level 0 is the trace's first point
+    assert point.inner_status is InnerStatus.STALLED
     assert point.r == pytest.approx(1e100)
     assert math.isinf(point.res) and math.isinf(point.feas)
     assert np.array_equal(point.x, rep.x_final)
     assert point.fx.tobytes() == analytic2d_problem.F(point.x).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("selector, ksel, x0, status", [
+    # F's cubes overflow at the start
+    ("analytic2d", "rational", [1e150, 1e150], SolveStatus.EVALUATION_ERROR),
+    ("analytic2d", "exp", [1e150, 1e150], SolveStatus.EVALUATION_ERROR),
+    # JF is not finite, and the Newton step's diagonal nudge meets inf - inf
+    ("nash5", "rational", [1e-150] * 5, SolveStatus.INNER_FAILURE),
+    ("nash10", "exp", [1e-120] * 10, SolveStatus.INNER_FAILURE),
+])
+def test_continuation_emits_no_runtime_warning(selector, ksel, x0, status):
+    rep = continuation_solve(problem_from_selector(selector), kernel_from_selector(ksel), x0)
+    assert rep.status is status
+
+
+def test_solver_records_compare_by_identity(rational, ks_problem):
+    # the records hold numpy arrays, on which a field-wise == would raise
+    # "truth value of an array ... is ambiguous"
+    a = continuation_solve(ks_problem, rational, np.ones(4))
+    b = continuation_solve(ks_problem, rational, np.ones(4))
+    assert a == a and a != b
+    assert a.trace[0] == a.trace[0] and a.trace[0] != b.trace[0]
+    assert {ks_problem: 1}[ks_problem] == 1
 
 
 def test_trace_points_keep_f_at_their_x(kernel, ks_problem, analytic2d_problem):
