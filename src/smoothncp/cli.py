@@ -180,7 +180,7 @@ def format_table(rows, fmt: str, detail=None) -> str:
         }
         if detail is not None:
             payload["per_start"] = detail
-        return json.dumps(payload, indent=2, default=_np_default)
+        return json.dumps(payload, indent=2)
     if fmt not in ("md", "csv"):
         raise ValueError(f"unknown output format {fmt!r}")
     md = fmt == "md"
@@ -261,14 +261,6 @@ def run_analyze(kernel_selector: str, check: str, a: float = 0.25, s_max: float 
     else:
         raise ValueError(f"unknown check {check!r}")
     return {**head, "outcome": "holds" if ok else "violated", "probes": probes}
-
-
-def _np_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _emit(text: str, out_path: str | None):
@@ -370,7 +362,7 @@ def _cmd_trace(args) -> int:
 def _cmd_analyze(args) -> int:
     selector = (args.theta or ["exp"])[0]
     result = run_analyze(selector, args.check, a=args.a, s_max=args.smax)
-    _emit(json.dumps(result, indent=2, default=_np_default), args.out)
+    _emit(json.dumps(result, indent=2), args.out)
     return 0 if result["outcome"] == "holds" else 1
 
 

@@ -283,8 +283,6 @@ def _make_rational() -> SmoothingKernel:
 
     def softmin_partials(s, t, r):
         try:
-            if isinstance(s, _REAL) and isinstance(t, _REAL):
-                return _partials_float(float(s), float(t), float(r))
             pair = _small_pair(s, t)
             if pair is not None:
                 r_ = float(r)

@@ -102,8 +102,6 @@ def h_r(problem, kernel: SmoothingKernel, x, r: float, counter=None) -> np.ndarr
     Evaluates F exactly once; evaluation failures of F propagate unchanged.
     """
     x_ = np.asarray(x, dtype=float)
-    if x_.shape != (problem.n,):
-        raise ValueError(f"expected point of shape ({problem.n},), got {x_.shape}")
     fx = problem.F(x_, counter)
     return g_r(kernel, x_, fx, r)
 

@@ -105,26 +105,27 @@ class TracePoint:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Outcome of a continuation run.
+    """Outcome of a continuation run; its final state is the last trace point.
 
-    out_iter counts r-values consumed (one per trace point); in_iter is
-    the total number of Jacobian evaluations across all inner solves and
-    f_evals the total number of F evaluations, line-search trials included
-    (the F calls of a forward-difference Jacobian count only as its one
-    Jacobian evaluation).
+    x_final, res and feas read trace[-1], and out_iter (r-values consumed)
+    is len(trace).  in_iter is the total number of Jacobian evaluations
+    across all inner solves and f_evals the total number of F evaluations,
+    line-search trials included (the F calls of a forward-difference
+    Jacobian count only as its one Jacobian evaluation).
     wall_time is informational only and excluded from any determinism or
     acceptance contract.
     """
 
     status: SolveStatus
-    x_final: np.ndarray = field(repr=False)
-    out_iter: int
     in_iter: int
     f_evals: int
-    res: float
-    feas: float
     wall_time: float
     trace: list = field(repr=False)
+
+    x_final = property(lambda self: self.trace[-1].x)
+    out_iter = property(lambda self: len(self.trace))
+    res = property(lambda self: self.trace[-1].res)
+    feas = property(lambda self: self.trace[-1].feas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,6 +232,7 @@ def _newton_step(jf, d1, d2, h, tridiagonal: bool):
     return d
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def newton_inner(
     problem: NcpProblem,
     kernel: SmoothingKernel,
@@ -247,8 +249,9 @@ def newton_inner(
     STALL_ALPHA.  Trial points where F or the composition is undefined
     count as merit +inf and shorten the step; evaluation errors at the
     starting point propagate.  The solve ends STALLED, keeping the last
-    accepted iterate, when every step length fails.
-    Passing fx0 (the value of F at x0) skips the initial F evaluation.
+    accepted iterate, when every step length fails.  Passing fx0 (F at x0)
+    skips the initial F evaluation.  numpy's overflow, divide and invalid
+    warnings are off, as in continuation_solve.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -322,7 +325,7 @@ def continuation_solve(
     and Feas <= sqrt(outer_tol); Res alone is zero at any projected point
     where each x_i F_i = 0, even when some F_i < 0.  The run handles inf and
     NaN itself, so numpy's overflow, divide and invalid warnings are off
-    for all of it, F and JF included (not in a direct newton_inner call).
+    for all of it, F and JF included.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -336,23 +339,14 @@ def continuation_solve(
     trace: list[TracePoint] = []
     t0 = time.perf_counter()
 
-    def report(status, res, feas):
-        return SolveReport(
-            status=status,
-            x_final=x.copy(),
-            out_iter=len(trace),
-            in_iter=counter.jac_evals,
-            f_evals=counter.f_evals,
-            res=res,
-            feas=feas,
-            wall_time=time.perf_counter() - t0,
-            trace=trace,
-        )
+    def report(status):
+        wall_time = time.perf_counter() - t0
+        return SolveReport(status, counter.jac_evals, counter.f_evals, wall_time, trace)
 
     def stop(status, r, res, feas):
         """Keep a trace point at the current x and fx, then end the run."""
         trace.append(TracePoint(r, x.copy(), fx, res, feas, 0, None))
-        return report(status, res, feas)
+        return report(status)
 
     def f_or_nan():
         try:
@@ -397,11 +391,11 @@ def continuation_solve(
             end = SolveStatus.CONVERGED
         trace.append(TracePoint(r, x.copy(), fx, res, feas, inner.iterations, inner.status))
         if end is not None:
-            return report(end, res, feas)
+            return report(end)
         prev_r = r
         r_new = r_update(r, res)
         if r_new >= r:
             # pinned at the floor, the schedule cannot contract further
             break
         r = r_new
-    return report(SolveStatus.MAX_OUTER_EXCEEDED, res, feas)
+    return report(SolveStatus.MAX_OUTER_EXCEEDED)

@@ -60,6 +60,9 @@ def test_solve_report_invariants(selector, ksel, data):
     if rep.status is SolveStatus.CONVERGED:
         assert rep.res <= OUTER_TOL and rep.feas <= math.sqrt(OUTER_TOL)
     assert len(rep.trace) == rep.out_iter
+    last = rep.trace[-1]
+    assert rep.x_final is last.x
+    assert (rep.res, rep.feas) == (last.res, last.feas)
     inner_iters = sum(tp.inner_iters for tp in rep.trace)
     assert rep.in_iter >= inner_iters and rep.f_evals >= inner_iters
     if not all(math.isfinite(res) for res in [rep.res] + [tp.res for tp in rep.trace]):

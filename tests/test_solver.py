@@ -576,6 +576,61 @@ def test_continuation_emits_no_runtime_warning(selector, ksel, x0, status):
     assert rep.status is status
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("selector, ksel, r, x0, status", [
+    # F's cubes overflow at the start, where evaluation errors propagate
+    ("analytic2d", "exp", 1e100, [1e150] * 2, None),
+    # JF is not finite, and the Newton step's diagonal nudge meets inf - inf
+    ("nash5", "rational", 1.0, [1e-150] * 5, InnerStatus.SINGULAR_JACOBIAN),
+    ("nash10", "exp", 1.0, [1e-120] * 10, InnerStatus.SINGULAR_JACOBIAN),
+    # F's squares overflow at the start; later steps stay finite, then stall
+    ("ks", "rational", 1e-3, [1e160] * 4, InnerStatus.STALLED),
+])
+def test_newton_inner_emits_no_runtime_warning(selector, ksel, r, x0, status):
+    problem, kernel = problem_from_selector(selector), kernel_from_selector(ksel)
+    if status is None:
+        with pytest.raises(FloatingPointError, match="soft-min"):
+            newton_inner(problem, kernel, r, x0)
+    else:
+        assert newton_inner(problem, kernel, r, x0).status is status
+
+
+def raising_jacobian(exc):
+    """line1d whose Jacobian raises exc, so that its first level breaks off."""
+
+    def eval_JF(x):
+        raise exc
+
+    return dataclasses.replace(line1d(), eval_JF=eval_JF)
+
+
+@pytest.mark.parametrize("problem, ksel, x0, status, levels", [
+    (problem_from_selector("ks"), "rational", [1.0] * 4, SolveStatus.CONVERGED, 6),
+    # the level budget runs out
+    (problem_from_selector("analytic2d"), "rational", [1e50] * 2,
+     SolveStatus.MAX_OUTER_EXCEEDED, 50),
+    # every level stalls and r is pinned at R_FLOOR
+    (problem_from_selector("nash5"), "rational", [0.0, 1.0, 0.0, 0.0, 1.0],
+     SolveStatus.MAX_OUTER_EXCEEDED, 8),
+    # Res is not finite at the start, and then after the first level
+    (problem_from_selector("analytic2d"), "rational", [1e300] * 2,
+     SolveStatus.EVALUATION_ERROR, 1),
+    (problem_from_selector("analytic2d"), "exp", [1e50] * 2, SolveStatus.EVALUATION_ERROR, 1),
+    # the first level's Newton matrix is singular, with no earlier r to retry at
+    (problem_from_selector("nash5"), "rational", [1e-150] * 5, SolveStatus.INNER_FAILURE, 1),
+    # the inner solve raises
+    (raising_jacobian(EvaluationError("no JF here")), "exp", [0.0], SolveStatus.EVALUATION_ERROR, 1),
+    (raising_jacobian(ZeroDivisionError("JF divides by 0")), "exp", [0.0],
+     SolveStatus.INNER_FAILURE, 1),
+], ids=["converged", "budget", "floor", "start", "level", "singular", "raise-eval", "raise-arith"])
+def test_report_reads_its_last_trace_point(problem, ksel, x0, status, levels):
+    rep = continuation_solve(problem, kernel_from_selector(ksel), x0)
+    assert (rep.status, rep.out_iter) == (status, levels)
+    last = rep.trace[-1]
+    assert rep.x_final is last.x
+    assert (rep.out_iter, rep.res, rep.feas) == (len(rep.trace), last.res, last.feas)
+
+
 def test_solver_records_compare_by_identity(rational, ks_problem):
     # the records hold numpy arrays, on which a field-wise == would raise
     # "truth value of an array ... is ambiguous"
