@@ -1,0 +1,166 @@
+"""The log-domain soft-min of the power kernels phi_lambda, lam > 1.
+
+kernels._make_phi_lambda imports this module when it builds the first such
+kernel, so that a program using only the rational and exponential kernels
+does not load it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .kernels import _REAL, _OffFloatPath, _all_finite, _require_finite_min
+
+
+def softmin_overrides(p, c1, x0, psi0, slope) -> dict:
+    """softmin_override and softmin_partials_override of a power kernel.
+
+    psi is (1 + c1 x)^(-p) on x >= x0 and psi0 + slope (x - x0) below (see
+    _make_phi_lambda).  Both closed forms run in the log domain.  With
+    a = s/r, b = t/r, u = log1p(c1 x), m = -slope and xz = x0 + psi0/m, the
+    zero of the affine piece,
+
+        log psi(x) = -p u  on x >= x0,  log m + log(xz - x)  below,
+
+    and L = logaddexp(log psi(a), log psi(b)) = log psi(G) at G = g/r:
+
+        G = expm1(-L/p) / c1  where L <= log psi0,  xz - (wa + wb)  above,
+
+    with w = psi/m (xz - x on the affine piece, exp(-p u - log m) on the
+    branch); g = r G, clamped to min(s, t).  Each partial is
+    psi'(arg)/psi'(G).  Where L <= log psi0, both G and arg lie on the
+    branch and log1p(c1 G) = -L/p, so
+
+        dg/ds = exp((p + 1) (-L/p - u(a))),
+
+    and above, psi'(G) = slope: dg/ds = exp((p + 1) (v0 - max(u(a), v0)))
+    with v0 = -log(psi0)/p = log1p(c1 x0), which is 1 on the affine piece.
+    dg/dt is alike.  The exponent is formed without rounding (see
+    _exp_p1), so the partials lose no more than the rounding of u and L.
+    No psi value is formed, so nothing underflows where psi does (phi:1.002
+    on ordinary grids).  g(s, +inf) = s with partials (1, 0); NaN, -inf and
+    two +inf arguments raise FloatingPointError, and so does a soft-min that
+    overflows.
+
+    a and b are the rows of one array.  Arguments on the branch with c1 s/r
+    and c1 t/r at most 1e300 take a path with no np.where and no
+    np.errstate, and two such real scalars are evaluated on Python floats
+    through the same numpy ufuncs; the others compute both pieces.  Every
+    path gives the same bits on the entries it shares with another.
+    """
+    m = -slope
+    log_m, log_c1, lp0, xz = math.log(m), math.log(c1), math.log(psi0), x0 + psi0 / m
+    v0 = lp0 / -p
+    cap = 1e300 / c1  # c1 x stays finite up to here
+    p1_head = _head(p + 1.0)
+    p1_tail = (p + 1.0) - p1_head
+
+    def _exp_p1(v_g, u):
+        # exp((p + 1) (v_g - u)) with its exponent exact to far below an
+        # ulp: near 55, each rounding of the exponent costs up to 3.6e-15,
+        # 16 ulps of the partial.  d = v_g - u comes with its rounding
+        # error (Fast2Sum, exact where |u| >= |v_g|), p1_head times the
+        # head of d is exact, and the rest is rounded into e, whose own
+        # rounding error enters as the factor 1 + (rest - (e - hi)).
+        d = v_g - u
+        d_head = _head(d)
+        hi = p1_head * d_head
+        rest = (p1_head * (d - d_head) + p1_tail * d) + (p + 1.0) * (v_g - (d + u))
+        e = hi + rest
+        return np.exp(e) * (1.0 + (rest - (e - hi)))
+
+    def _compose(s, t, r):
+        # min(s, t), x = (a, b), u = (u(a), u(b)), L, and whether every
+        # argument is on the branch with c1 a, c1 b <= 1e300
+        s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        if s_.shape != t_.shape:
+            s_, t_ = np.broadcast_arrays(s_, t_)
+        lo, st = np.minimum(s_, t_), np.array((s_, t_))
+        # r > 0, so min(s, t)/r is the least of a and b, bit for bit
+        if (
+            float(lo.min(initial=math.inf)) / r >= x0
+            and float(st.max(initial=-math.inf)) / r <= cap
+        ):
+            x = st if r == 1.0 else st / r  # x/1.0 and 1.0 x are x bit for bit
+            u = np.log1p(x if c1 == 1.0 else c1 * x)
+            lp = -p * u
+            return lo, x, u, np.logaddexp(lp[0], lp[1]), True
+        with np.errstate(all="ignore"):
+            x = st / r
+            # u is NaN below -1/c1; above cap, log1p(c1 x) = log(c1) + log(x)
+            u = np.where(x <= cap, np.log1p(c1 * x), log_c1 + np.log(x))
+            lp = np.where(x >= x0, -p * u, log_m + np.log(xz - x))
+            big_l = np.logaddexp(lp[0], lp[1])
+        # L is NaN for a NaN argument, +inf for -inf and -inf for two +inf
+        _require_finite_min(big_l)
+        return lo, x, u, big_l, False
+
+    def _inverse(x, u, big_l):
+        # G = g/r; on the affine piece it sums w = psi/m of both arguments
+        big_g = np.expm1(big_l / -p) / c1
+        if big_l.max(initial=-math.inf) > lp0:
+            w = np.where(x < x0, xz - x, np.exp(-p * u - log_m))
+            big_g = np.where(big_l > lp0, xz - (w[0] + w[1]), big_g)
+        return big_g
+
+    def _softmin_float(s, t, r):
+        # the branch path on Python floats, operation for operation
+        a, b = (s, t) if r == 1.0 else (s / r, t / r)
+        if not (x0 <= a and x0 <= b and a <= cap and b <= cap):
+            raise _OffFloatPath
+        ua, ub = (float(np.log1p(x if c1 == 1.0 else c1 * x)) for x in (a, b))
+        big_l = float(np.logaddexp(-p * ua, -p * ub))
+        if big_l > lp0:
+            wa, wb = float(np.exp(-p * ua - log_m)), float(np.exp(-p * ub - log_m))
+            big_g = xz - (wa + wb)
+        else:
+            big_g = float(np.expm1(big_l / -p)) / c1
+        g, lo = r * big_g, (s if s < t else t)
+        return g if g < lo else lo
+
+    def softmin(s, t, r):
+        if isinstance(s, _REAL) and isinstance(t, _REAL):
+            try:
+                return _softmin_float(float(s), float(t), float(r))
+            except _OffFloatPath:
+                pass
+        lo, x, u, big_l, on_branch = _compose(s, t, r)
+        if on_branch:
+            g = np.minimum(r * _inverse(x, u, big_l), lo)
+        else:
+            with np.errstate(all="ignore"):
+                g = np.minimum(r * _inverse(x, u, big_l), lo)
+            # u = +inf at +inf: g is the other argument
+            g = np.where(u[0] == math.inf, t, np.where(u[1] == math.inf, s, g))
+            if not _all_finite(g):
+                raise FloatingPointError("soft-min overflows the float range")
+        return float(g) if g.ndim == 0 else g
+
+    def softmin_partials(s, t, r):
+        _, _, u, big_l, on_branch = _compose(s, t, r)
+        v_g = big_l / -p  # log1p(c1 G) where G is on the branch
+        if big_l.max(initial=-math.inf) > lp0:
+            # np.fmax takes v0 over the NaN u of arguments below -1/c1
+            above = big_l > lp0
+            v_g = np.where(above, v0, v_g)
+            u = np.where(above, np.fmax(u, v0), u)
+        if on_branch:
+            d = _exp_p1(v_g, u)
+        else:
+            with np.errstate(all="ignore"):
+                # u = +inf at +inf, where the partial is 0
+                d = np.where(u == math.inf, 0.0, _exp_p1(v_g, u))
+        if d.ndim == 1:
+            return float(d[0]), float(d[1])
+        return d[0], d[1]
+
+    return dict(softmin_override=softmin, softmin_partials_override=softmin_partials)
+
+
+def _head(v):
+    """v rounded to its 26 leading bits (Veltkamp's split): the product of
+    two such heads is exact in float64."""
+    c = 134217729.0 * v  # 2^27 + 1
+    return c - (c - v)

@@ -404,9 +404,9 @@ _SPEED_SIDES = ("upper", "lower", "derivative")
 # The scales check_speed_bound supports.  Above _SPEED_MAX the rounding of
 # f(r) passes the absolute SPEED_SLACK (false violations from about 1e5
 # for phi:1.5), and below _SPEED_MIN the limit probe's r = 1e-8 no longer
-# resolves f(0) (from about 3e-6 for exp).  s/r and t/r up to
-# _SPEED_MAX_RATIO keep the power kernels' psi' at (s/r, t/r) far from
-# underflow, which starts near 1e100 for phi:1.5 and 1e200 for phi:3.
+# resolves f(0) (from about 3e-6 for exp).  s/r and t/r stay at most
+# _SPEED_MAX_RATIO, about 1/eps, past which the Euler relation that gives
+# r f'(r) cancels (see g_r_deriv_r).
 _SPEED_MIN, _SPEED_MAX = 1e-4, 1e4
 _SPEED_MAX_RATIO = 1e16
 # the r-sweep of check_speed_bound, in units of r0

@@ -122,10 +122,11 @@ class SmoothingKernel:
     """Increasing theta with theta(0) = 0, theta(+inf) = 1, and psi = 1 - theta.
 
     softmin_override / softmin_partials_override are numerically stable
-    closed forms for the induced soft-min and its partial derivatives.  The
-    rational kernel and the exponential family ship them; the phi_lambda
-    kernels with lam > 1 leave them unset and use the generic
-    psi_inv(psi + psi) composition.
+    closed forms for the induced soft-min and its partial derivatives.
+    Every kernel kernel_from_selector builds ships them: the rational
+    kernel, the exponential family, and the phi_lambda kernels with lam > 1
+    in the log domain (_power.softmin_overrides).  A kernel built with them
+    unset uses the generic psi_inv(psi + psi) composition of smoothing.g_r.
     """
 
     name: str
@@ -390,12 +391,14 @@ def _make_phi_lambda(lam: float, c1: float = 1.0, d: float = 1.0) -> SmoothingKe
     lam = 1 returns the exponential kernel with rate d (the "exp" kernel when
     d = 1).  For lam > 1 the power branch psi(x) = (c1*x + 1)^(-1/(lam-1))
     is spliced at x0 = -1/(2*c1) (see _spliced); lam = 2, c1 = 1 reproduces
-    the rational kernel on t >= 0.  ValueError is raised unless lam >= 1 and
-    c1, d > 0 are finite, and where x0, psi(x0) or psi'(x0) overflows: lam
-    within about 1e-3 of 1, or an extreme c1.  It is also raised for a
-    kernel that is degenerate in floating point, with psi(1) rounding to 1
-    or to a subnormal or zero value: a p = 1/(lam-1) or a rate d so small or
-    so large that psi cannot be told from a constant.
+    the rational kernel on t >= 0.  Its soft-min and partials are closed
+    forms in the log domain (see _power.softmin_overrides).  ValueError is
+    raised unless lam >= 1 and c1, d > 0 are finite, and where x0, psi(x0)
+    or psi'(x0) overflows: lam within about 1e-3 of 1, or an extreme c1.
+    It is also raised for a kernel that is degenerate in floating point,
+    with psi(1) rounding to 1 or to a subnormal or zero value: a
+    p = 1/(lam-1) or a rate d so small or so large that psi cannot be told
+    from a constant.
     """
     if not 1.0 <= lam < math.inf:
         raise ValueError("phi_lambda requires a finite lam >= 1")
@@ -429,7 +432,12 @@ def _make_phi_lambda(lam: float, c1: float = 1.0, d: float = 1.0) -> SmoothingKe
         x_low=-1.0 / c1,
     )
     name = f"phi:{lam:g}" if c1 == 1.0 else f"phi:{lam:g}:{c1:g}"
-    kernel = SmoothingKernel(name=name, **_spliced(branch, _theta_main, x0, psi0, slope))
+    pieces = _spliced(branch, _theta_main, x0, psi0, slope)
+    # imported with the first power kernel, so that `import smoothncp` does
+    # not compile it: without cached bytecode that took 1.3 ms per import
+    from ._power import softmin_overrides
+
+    kernel = SmoothingKernel(name=name, **pieces, **softmin_overrides(p, c1, x0, psi0, slope))
     return _nondegenerate(kernel)
 
 

@@ -62,8 +62,9 @@ def g_r(kernel: SmoothingKernel, s, t, r: float):
     """Soft minimum of s and t at smoothing level r.
 
     Symmetric, smooth in (s, t), and bounded above by min(s, t) with no
-    tolerance, in floating point as well: the kernel closed forms keep the
-    bound by construction and the generic composition is clamped to it.
+    tolerance, in floating point as well: the rational and exponential
+    closed forms keep the bound by construction, and the power kernels'
+    log-domain closed form and the generic composition are clamped to it.
     Scalars and same-shape arrays are both accepted; a scalar gives a float.
     """
     _check_r(r)

@@ -27,6 +27,8 @@ from smoothncp import (
     v_function,
 )
 
+from decimal_softmin import power_kernel, reference, ulps
+
 CONCAVE_KERNELS = ["rational", "exp", "phi:3"]
 
 
@@ -160,13 +162,16 @@ def test_hessian_negative_semidefinite(kernel, s, t):
 
 
 def test_hessian_entries_raise_when_the_psi_sum_underflows():
-    # psi(10) = 11^-500 underflows to 0 for phi:1.002, as it does in g_r
+    # psi(10) = 11^-500 underflows to 0 for phi:1.002; the Hessian, on the
+    # analytic branch, raises, while g_r's log-domain closed form forms no
+    # psi value and computes
     kernel = kernel_from_selector("phi:1.002")
     message = "soft-min evaluation left the representable range of psi"
     with pytest.raises(FloatingPointError, match=message):
         g_hessian_entries(kernel, np.array([1.0, 10.0]), np.array([1.0, 10.0]))
-    with pytest.raises(FloatingPointError, match=message):
-        g_r(kernel, 10.0, 10.0, 1.0)
+    g = g_r(kernel, 10.0, 10.0, 1.0)
+    assert math.isfinite(g) and g <= 10.0
+    assert ulps(g, reference(power_kernel(1.002), 10.0, 10.0, 1.0)[0]) <= 1.0
 
 
 def test_concavity_raises_when_the_hessian_denominator_underflows():

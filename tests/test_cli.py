@@ -332,13 +332,26 @@ def test_main_analyze_rejects_degenerate_kernels(selector, capsys):
 
 
 def test_main_reports_kernel_arithmetic_errors(capsys):
-    # phi:1.002 builds (psi(1) = 3e-151), but psi underflows inside each
-    # check's soft-min: exit 2 with the same message, no traceback
-    for check in ("speed", "limits", "concavity"):
-        assert main(["analyze", "--theta", "phi:1.002", "--check", check]) == 2
+    # phi:1.002 builds (psi(1) = 3e-151), but psi underflows inside the
+    # concavity check's Hessian: exit 2 with the message, no traceback.  The
+    # speed and limits checks run on the log-domain soft-min, which forms no
+    # psi value, and hold at every probe
+    assert main(["analyze", "--theta", "phi:1.002", "--check", "concavity"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: soft-min evaluation left the representable range of psi\n"
+    for check in ("speed", "limits"):
+        assert main(["analyze", "--theta", "phi:1.002", "--check", check]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: soft-min evaluation left the representable range of psi\n"
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["outcome"] == "holds"
+        probes = report["probes"]
+        assert probes
+        if check == "speed":
+            assert all(p["outcome"] == "holds" for p in probes)
+        else:
+            assert all(p["consistent"] and p["defect"] <= 1e-9 for p in probes)
 
 
 def test_main_rejects_unknown_check(capsys):

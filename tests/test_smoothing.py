@@ -1,5 +1,7 @@
 """Soft-min g_r and the smoothed system H_r: values, bounds, derivatives."""
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from smoothncp import (
 )
 from smoothncp.kernels import _SMALL_N
 from smoothncp.smoothing import _newton_matrix
+
+from decimal_softmin import power_kernel, reference, ulps
 
 args = st.floats(-10.0, 10.0, allow_nan=False)
 radii = st.floats(1e-6, 1.0, allow_nan=False)
@@ -269,18 +273,158 @@ def test_soft_min_non_finite_arguments(kernel):
     assert (ds[1], dt[1]) == g_r_partials(kernel, 1.0, 3.0, 0.1)
 
 
+def generic(selector):
+    """The selector's kernel with its closed forms stripped, so that g_r and
+    g_r_partials take the generic psi_inv(psi + psi) composition."""
+    return dataclasses.replace(
+        kernel_from_selector(selector), softmin_override=None, softmin_partials_override=None
+    )
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "pair", [(math.nan, 1.0), (-math.inf, 1.0), (-math.inf, math.inf), (math.inf, math.inf)]
 )
 def test_generic_composition_non_finite_arguments(pair):
-    # phi:3 has no closed form; its partials returned made-up weights for
-    # these pairs, and a ValueError for (inf, inf), where g_r raises
-    kern = kernel_from_selector("phi:3")
-    with pytest.raises(FloatingPointError):
-        g_r(kern, *pair, 0.5)
-    with pytest.raises(FloatingPointError):
-        g_r_partials(kern, *pair, 0.5)
+    # the generic composition's partials returned made-up weights for these
+    # pairs, and a ValueError for (inf, inf), where g_r raises; phi:3's
+    # log-domain closed form raises for them too
+    for kern in (generic("phi:3"), kernel_from_selector("phi:3")):
+        with pytest.raises(FloatingPointError):
+            g_r(kern, *pair, 0.5)
+        with pytest.raises(FloatingPointError):
+            g_r_partials(kern, *pair, 0.5)
+
+
+# --- the power kernels' log-domain closed form -----------------------------------
+#
+# phi:<lambda> with lambda > 1 evaluates g_r and its partials through
+# _power.softmin_overrides; the generic composition stays the reference for
+# kernels built without closed forms.
+
+POWER = ["phi:3", "phi:1.5", "phi:2", "phi:3:2", "phi:1.25:0.5"]
+
+
+@pytest.mark.parametrize("selector", POWER + ["phi:1.002"])
+def test_power_kernels_ship_closed_forms(selector):
+    kern = kernel_from_selector(selector)
+    assert kern.softmin_override is not None
+    assert kern.softmin_partials_override is not None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("selector", POWER + ["phi:1.002"])
+def test_power_closed_form_infinite_argument(selector):
+    # g(s, +inf) = s with partials (1, 0), as scalars and in arrays
+    kern, inf = kernel_from_selector(selector), math.inf
+    for other in (-3.0, 0.0, 0.05, 5.0, 1e300):
+        assert g_r(kern, other, inf, 0.1) == other
+        assert g_r(kern, inf, other, 0.1) == other
+        assert g_r_partials(kern, other, inf, 0.1) == (1.0, 0.0)
+        assert g_r_partials(kern, inf, other, 0.1) == (0.0, 1.0)
+    s = np.array([inf, 1.0, -2.0])
+    t = np.array([4.0, 3.0, inf])
+    g = g_r(kern, s, t, 0.1)
+    ds, dt = g_r_partials(kern, s, t, 0.1)
+    assert g[0] == 4.0 and g[2] == -2.0 and g[1] == g_r(kern, 1.0, 3.0, 0.1)
+    assert (ds[0], dt[0], ds[2], dt[2]) == (0.0, 1.0, 1.0, 0.0)
+    assert (ds[1], dt[1]) == g_r_partials(kern, 1.0, 3.0, 0.1)
+
+
+@pytest.mark.parametrize("selector", POWER)
+def test_power_closed_form_matches_generic_composition(selector):
+    # s, t on both sides of 0 down to 1e-3 in size; the two forms round
+    # differently, so g is compared in units of max(|g|, r/c1), the scale of
+    # g near its zero (psi(s/r) + psi(t/r) = 1), where both cancel
+    c1 = float(selector.split(":")[2]) if selector.count(":") == 2 else 1.0
+    kern, ref = kernel_from_selector(selector), generic(selector)
+    v = np.concatenate((-np.geomspace(10.0, 1e-3, 17), [0.0], np.geomspace(1e-3, 10.0, 17)))
+    s, t = (a.ravel() for a in np.meshgrid(v, v))
+    for r in (1e-3, 0.1, 1.0, 10.0):
+        g, g_ref = g_r(kern, s, t, r), g_r(ref, s, t, r)
+        assert np.all(np.abs(g - g_ref) <= 4e-15 * np.maximum(np.abs(g_ref), r / c1))
+        for d, d_ref in zip(g_r_partials(kern, s, t, r), g_r_partials(ref, s, t, r)):
+            assert np.all(np.abs(d - d_ref) <= 2e-14)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("selector", POWER + ["phi:1.002"])
+def test_power_closed_form_paths_agree_bit_for_bit(selector):
+    # arguments on the branch take a path with no np.where, and two real
+    # scalars one on Python floats; one off-branch entry sends the whole
+    # call through both pieces.  Each entry gets the same bits either way
+    kern = kernel_from_selector(selector)
+    rng = np.random.default_rng(17)
+    for r in (1e-12, 1e-3, 1.0, 37.0):
+        s = 10.0 ** rng.uniform(-3.0, 16.0, 40) * r
+        t = 10.0 ** rng.uniform(-3.0, 16.0, 40) * r
+        t[::5] = -0.2 * r * rng.uniform(0.0, 1.0, 8)  # below 0, above every x0 here
+        g, (ds, dt) = g_r(kern, s, t, r), g_r_partials(kern, s, t, r)
+        s_off, t_off = np.append(s, -1e3 * r), np.append(t, math.inf)
+        assert g.tobytes() == g_r(kern, s_off, t_off, r)[:-1].tobytes()
+        ds_off, dt_off = g_r_partials(kern, s_off, t_off, r)
+        assert ds.tobytes() == ds_off[:-1].tobytes()
+        assert dt.tobytes() == dt_off[:-1].tobytes()
+        assert g[:7].tobytes() == g_r(kern, s[:7], t[:7], r).tobytes()
+        for i in range(0, 40, 3):
+            assert g_r(kern, float(s[i]), float(t[i]), r) == g[i]
+            assert g_r_partials(kern, float(s[i]), float(t[i]), r) == (ds[i], dt[i])
+
+
+# s/r on both sides of x0 = -1/(2 c1) (x0 itself is added per kernel), up to 1e16
+ACCURACY_RATIOS = [-1e3, -1.3, -0.6, -0.4, -0.1, 0.0, 1e-3, 0.3, 1.0, 37.0, 1e6, 1e16]
+ACCURACY_RADII = [1e-12, 1.0, 1e2]
+
+
+def _softmin_errors(kern, params, s, t, r):
+    """(g error, worst partial error) against the decimal reference, or None
+    where the kernel's soft-min raises or is not finite.
+
+    g's error is in ulps of max(|g|, r/c1): near g = 0, where psi(s/r) +
+    psi(t/r) = 1, the value cancels in any float evaluation.  The partials,
+    in (0, 1], are compared in ulps of their own value.
+    """
+    g_ref, ds_ref, dt_ref = reference(params, s, t, r)
+    try:
+        with np.errstate(all="ignore"):
+            g = g_r(kern, s, t, r)
+            ds, dt = g_r_partials(kern, s, t, r)
+    except (FloatingPointError, ArithmeticError):
+        return None
+    if not all(map(math.isfinite, (g, ds, dt))):
+        return None
+    scale = max(abs(float(g_ref)), r / params[1])
+    g_err = abs(Fraction(g) - Fraction(g_ref)) / Fraction(math.ulp(scale))
+    return float(g_err), max(ulps(ds, ds_ref), ulps(dt, dt_ref))
+
+
+@pytest.mark.parametrize(
+    "lam, c1", [(3.0, 1.0), (1.5, 1.0), (2.0, 1.0), (3.0, 2.0), (1.25, 0.5), (1.002, 1.0)],
+    ids=POWER + ["phi:1.002"],
+)
+def test_power_closed_form_accuracy(lam, c1):
+    # against a 60-digit decimal evaluation of the same float kernel: finite
+    # everywhere, g <= min(s, t) with no tolerance, and wherever the generic
+    # composition is finite the closed form's worst error is no larger
+    params = power_kernel(lam, c1)
+    selector = f"phi:{lam:g}" if c1 == 1.0 else f"phi:{lam:g}:{c1:g}"
+    kern, ref = kernel_from_selector(selector), generic(selector)
+    ratios = ACCURACY_RATIOS + [params[2]]
+    closed, generic_worst, shared = (0.0, 0.0), (0.0, 0.0), 0
+    for a, b in itertools.product(ratios, ratios):
+        for r in ACCURACY_RADII:
+            s, t = a * r, b * r
+            assert g_r(kern, s, t, r) <= min(s, t)
+            err = _softmin_errors(kern, params, s, t, r)
+            assert err is not None, (s, t, r)
+            ref_err = _softmin_errors(ref, params, s, t, r)
+            if ref_err is not None:
+                shared += 1
+                closed = tuple(map(max, closed, err))
+                generic_worst = tuple(map(max, generic_worst, ref_err))
+    assert shared > 0
+    assert closed[0] <= generic_worst[0], (closed, generic_worst)
+    assert closed[1] <= generic_worst[1], (closed, generic_worst)
 
 
 def test_rational_huge_arguments_stay_finite(rational):
