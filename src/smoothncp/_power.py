@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .kernels import _REAL, _OffFloatPath, _all_finite, _require_finite_min
+from .kernels import _all_finite, _require_finite_min
 
 
 def softmin_overrides(p, c1, x0, psi0, slope) -> dict:
@@ -44,11 +44,10 @@ def softmin_overrides(p, c1, x0, psi0, slope) -> dict:
     two +inf arguments raise FloatingPointError, and so does a soft-min that
     overflows.
 
-    a and b are the rows of one array.  Arguments on the branch with c1 s/r
-    and c1 t/r at most 1e300 take a path with no np.where and no
-    np.errstate, and two such real scalars are evaluated on Python floats
-    through the same numpy ufuncs; the others compute both pieces.  Every
-    path gives the same bits on the entries it shares with another.
+    a and b are the rows of one array; real scalars are its 0-d case.
+    Arguments on the branch with c1 s/r and c1 t/r at most 1e300 take a
+    path with no np.where and no np.errstate; the others compute both
+    pieces.  Both paths give the same bits on the entries they share.
     """
     m = -slope
     log_m, log_c1, lp0, xz = math.log(m), math.log(c1), math.log(psi0), x0 + psi0 / m
@@ -105,27 +104,7 @@ def softmin_overrides(p, c1, x0, psi0, slope) -> dict:
             big_g = np.where(big_l > lp0, xz - (w[0] + w[1]), big_g)
         return big_g
 
-    def _softmin_float(s, t, r):
-        # the branch path on Python floats, operation for operation
-        a, b = (s, t) if r == 1.0 else (s / r, t / r)
-        if not (x0 <= a and x0 <= b and a <= cap and b <= cap):
-            raise _OffFloatPath
-        ua, ub = (float(np.log1p(x if c1 == 1.0 else c1 * x)) for x in (a, b))
-        big_l = float(np.logaddexp(-p * ua, -p * ub))
-        if big_l > lp0:
-            wa, wb = float(np.exp(-p * ua - log_m)), float(np.exp(-p * ub - log_m))
-            big_g = xz - (wa + wb)
-        else:
-            big_g = float(np.expm1(big_l / -p)) / c1
-        g, lo = r * big_g, (s if s < t else t)
-        return g if g < lo else lo
-
     def softmin(s, t, r):
-        if isinstance(s, _REAL) and isinstance(t, _REAL):
-            try:
-                return _softmin_float(float(s), float(t), float(r))
-            except _OffFloatPath:
-                pass
         lo, x, u, big_l, on_branch = _compose(s, t, r)
         if on_branch:
             g = np.minimum(r * _inverse(x, u, big_l), lo)

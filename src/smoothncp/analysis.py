@@ -406,7 +406,13 @@ _SPEED_SIDES = ("upper", "lower", "derivative")
 # for phi:1.5), and below _SPEED_MIN the limit probe's r = 1e-8 no longer
 # resolves f(0) (from about 3e-6 for exp).  s/r and t/r stay at most
 # _SPEED_MAX_RATIO, about 1/eps, past which the Euler relation that gives
-# r f'(r) cancels (see g_r_deriv_r).
+# r f'(r) cancels (see g_r_deriv_r).  Power kernels with lambda near 1 fall
+# short inside these scales: their partials carry p + 1 = lambda/(lambda - 1)
+# times the rounding of log1p(c1 s/r), which the Euler relation multiplies
+# by s.  Over 3,000 log-uniform triples of the supported scales, phi:1.002
+# and phi:1.01 report false violations on 16 and 10, all on the derivative
+# side with s and t above 580; rational, exp, phi:3, phi:1.5, phi:2 and
+# phi:1.05 report none.
 _SPEED_MIN, _SPEED_MAX = 1e-4, 1e4
 _SPEED_MAX_RATIO = 1e16
 # the r-sweep of check_speed_bound, in units of r0
@@ -423,30 +429,29 @@ def check_speed_bound(kernel: SmoothingKernel, s: float, t: float, r0: float) ->
 
     and the differential inequality r * f'(r) <= f(r) - f(0) + slack using
     the closed-form derivative.  f(0) is limit_probe's estimate.  The sweep
-    is r0 times a fixed 25-point geometric sweep from 1 down to 1e-6: its
-    end points are r0 and r0 * 1e-6 exactly, and at r0 = 1 it is
-    np.geomspace(r0, r0 * 1e-6, 25) bit for bit.  Elsewhere its interior
-    points differ from that by rounding, under 1e-14 relative.
+    is r0 times a fixed 25-point geometric sweep from 1 down to 1e-6, whose
+    end points are r0 and r0 * 1e-6 exactly (np.geomspace(r0, r0 * 1e-6, 25)
+    bit for bit at r0 = 1, within 1e-14 relative elsewhere).
 
-    s, t and r0 must be finite and positive.  The smallest r of the check,
-    in the sweep or in limit_probe, must keep s/r and t/r at most 1e16, and
-    s, t and r0 must lie in the supported scales: s and t in [1e-4, 1e4],
-    r0 at most 1e4.  Otherwise ValueError is raised: outside these scales
-    the verdict can be false or the kernel's arithmetic can fail.
+    s, t and r0 must be finite and positive, keep s/r and t/r at most 1e16
+    at the smallest r of the sweep and limit_probe, and lie in the supported
+    scales: s and t in [1e-4, 1e4], r0 at most 1e4.  Otherwise ValueError
+    is raised: outside these scales the verdict can be false or the
+    kernel's arithmetic can fail.  Inside them it can be false for a power
+    kernel with lambda near 1 (phi:1.002, phi:1.01; see _SPEED_MAX).
 
-    The sweep and the limit probe are evaluated at once through the
-    homogeneity g_r(s, t) = r * g_1(s/r, t/r): one soft-min call at
+    By the homogeneity g_r(s, t) = r * g_1(s/r, t/r), one soft-min call at
     (s/r, t/r, 1), over the sweep followed by r = 1e-6, 1e-7, 1e-8, gives
-    f(r) and, by limit_probe's extrapolation, f(0).  With one call for the
-    partials at the sweep's (s/r, t/r, 1), which are homogeneous of degree
-    zero, the same values give r * f'(r) by the Euler relation of
-    g_r_deriv_r.  f(r0) is its own call at r0.  The report is the one that
-    limit_probe, g_r at r0, the sweep and g_r_deriv_r at (s/r, t/r, 1)
-    give, bit for bit.  max_defect can differ from a per-r evaluation by
-    rounding, up to about 1e-15: the exponential closed form is homogeneous
-    only up to rounding, and f'(r) is rounded at (s/r, t/r).  The witness
-    is the first violating r in sweep order, with the side of largest
-    defect (ties go to upper, then lower, then derivative).
+    f(r), f(r0) as its first value and, by limit_probe's extrapolation,
+    f(0).  One call for the partials at the sweep's (s/r, t/r, 1), which
+    are homogeneous of degree zero, gives r * f'(r) by the Euler relation of
+    g_r_deriv_r.  So the report is the one that limit_probe, the sweep and
+    g_r_deriv_r at (s/r, t/r, 1) give, bit for bit.  As the closed forms are
+    homogeneous only up to rounding, max_defect can differ from a per-r
+    evaluation by a few ulps of 1e4: by up to 6.2e-12 for rational, exp,
+    phi:3, phi:1.5 and phi:2 over 3,000 random triples of the supported
+    scales.  The witness is the first violating r in sweep order, with the
+    side of largest defect (ties go to upper, then lower, then derivative).
     """
     s, t, r0 = _finite_positive((s, t, r0), "s, t and r0").tolist()
     rs = r0 * _UNIT_SWEEP
@@ -465,15 +470,15 @@ def check_speed_bound(kernel: SmoothingKernel, s: float, t: float, r0: float) ->
             f"be at most {_SPEED_MAX:g}"
         )
     # one soft-min call at (s/r, t/r, 1) for the sweep and the limit probe;
-    # f(r0) stays a call at r0: r0 * g_1(s/r0, t/r0) can round differently
+    # the sweep's first r is r0, so its first value is f(r0)
     n = rs.size
     r_all = np.concatenate((rs, _PROBE_R))
     s_r, t_r = s / r_all, t / r_all
     g1 = np.asarray(g_r(kernel, s_r, t_r, 1.0), dtype=float)
     f_all = r_all * g1
     f0 = _extrapolate(f_all[n:].tolist())
-    fr0 = float(g_r(kernel, s, t, r0))
     fr, s_r, t_r, g1 = f_all[:n], s_r[:n], t_r[:n], g1[:n]
+    fr0 = float(fr[0])
     ps, pt = g_r_partials(kernel, s_r, t_r, 1.0)
     rdf = rs * _euler_deriv(g1, s_r, t_r, ps, pt, 1.0)
     upper = fr - f0 - SPEED_SLACK

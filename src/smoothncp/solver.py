@@ -316,16 +316,15 @@ def continuation_solve(
     and F, Res and Feas are evaluated at the projected point:
     this moves the iterate off non-root stationary points of the merit in
     the infeasible region.  A hard inner breakdown (singular linearization)
-    retries once at the geometric mean of the failed and the previous r,
-    warm started from the same point; a second breakdown ends the run with
-    inner_failure.  Domain errors at accepted or projected points, and a
-    start or level whose Res is not finite, end the run with
-    evaluation_error at Res = Feas = inf; a start that is not finite raises
-    ValueError.  The run converges at the first level with Res <= outer_tol
-    and Feas <= sqrt(outer_tol); Res alone is zero at any projected point
-    where each x_i F_i = 0, even when some F_i < 0.  The run handles inf and
-    NaN itself, so numpy's overflow, divide and invalid warnings are off
-    for all of it, F and JF included.
+    ends the run with inner_failure at that level, which keeps its trace
+    point.  Domain errors at accepted or projected points, and a start or
+    level whose Res is not finite, end the run with evaluation_error at
+    Res = Feas = inf; a start that is not finite raises ValueError.  The
+    run converges at the first level with Res <= outer_tol and Feas <=
+    sqrt(outer_tol); Res alone is zero at any projected point where each
+    x_i F_i = 0, even when some F_i < 0.  The run handles inf and NaN
+    itself, so numpy's overflow, divide and invalid warnings are off for
+    all of it, F and JF included.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -361,15 +360,9 @@ def continuation_solve(
         return stop(SolveStatus.EVALUATION_ERROR, math.inf, math.inf, math.inf)
     feas = feas_metric(x, fx)
     r = r_init(res)
-    prev_r = None
     for _ in range(cfg.max_outer):
         try:
             inner = newton_inner(problem, kernel, r, x, cfg, counter, fx0=fx)
-            if inner.status is InnerStatus.SINGULAR_JACOBIAN and prev_r is not None:
-                r_retry = math.sqrt(r * prev_r)
-                retry = newton_inner(problem, kernel, r_retry, x, cfg, counter, fx0=fx)
-                if retry.status is not InnerStatus.SINGULAR_JACOBIAN:
-                    inner, r = retry, r_retry
         except EvaluationError:
             return stop(SolveStatus.EVALUATION_ERROR, r, math.inf, math.inf)
         except ArithmeticError:
@@ -392,7 +385,6 @@ def continuation_solve(
         trace.append(TracePoint(r, x.copy(), fx, res, feas, inner.iterations, inner.status))
         if end is not None:
             return report(end)
-        prev_r = r
         r_new = r_update(r, res)
         if r_new >= r:
             # pinned at the floor, the schedule cannot contract further

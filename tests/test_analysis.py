@@ -485,12 +485,12 @@ def _speed_bound_per_r(kernel, s, t, r0):
 
 
 def _speed_bound_by_parts(kernel, s, t, r0):
-    """check_speed_bound's report, built from limit_probe, g_r at r0, the
-    sweep r * g_1(s/r, t/r) and g_r_deriv_r at (s/r, t/r, 1)."""
+    """check_speed_bound's report, built from limit_probe, the sweep
+    r * g_1(s/r, t/r), whose first r is r0, and g_r_deriv_r at (s/r, t/r, 1)."""
     rs = r0 * np.geomspace(1.0, 1e-6, 25)
     f0 = limit_probe(kernel, s, t).limit
-    fr0 = float(g_r(kernel, s, t, r0))
     fr = rs * np.asarray(g_r(kernel, s / rs, t / rs, 1.0), dtype=float)
+    fr0 = float(fr[0])
     rdf = rs * g_r_deriv_r(kernel, s / rs, t / rs, 1.0)
     sides = {
         "upper": fr - f0 - analysis.SPEED_SLACK,

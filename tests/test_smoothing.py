@@ -350,9 +350,9 @@ def test_power_closed_form_matches_generic_composition(selector):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("selector", POWER + ["phi:1.002"])
 def test_power_closed_form_paths_agree_bit_for_bit(selector):
-    # arguments on the branch take a path with no np.where, and two real
-    # scalars one on Python floats; one off-branch entry sends the whole
-    # call through both pieces.  Each entry gets the same bits either way
+    # arguments on the branch take a path with no np.where, one off-branch
+    # entry sends the whole call through both pieces, and two real scalars
+    # are a 0-d call.  Each entry gets the same bits either way
     kern = kernel_from_selector(selector)
     rng = np.random.default_rng(17)
     for r in (1e-12, 1e-3, 1.0, 37.0):

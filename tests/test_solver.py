@@ -486,8 +486,7 @@ def nan_on_calls(problem, calls):
 
 @pytest.mark.parametrize(
     "selector, kernel_name, level", [("analytic2d", "exp", 1), ("monotone:10", "rational", 2)])
-def test_continuation_retries_a_singular_level_at_the_geometric_mean(
-        selector, kernel_name, level):
+def test_singular_level_ends_the_run(selector, kernel_name, level):
     problem, kernel = problem_from_selector(selector), kernel_from_selector(kernel_name)
     x0 = np.ones(problem.n)
     clean = continuation_solve(problem, kernel, x0)
@@ -495,24 +494,17 @@ def test_continuation_retries_a_singular_level_at_the_geometric_mean(
     assert len(clean.trace) > level + 1
     # every level before `level` is solved, one Jacobian per iteration
     first = sum(tp.inner_iters for tp in clean.trace[:level])
-    r_prev, r_failed = clean.trace[level - 1].r, clean.trace[level].r
+    r_failed = clean.trace[level].r
 
-    # the level's first Jacobian is NaN, the retry's is not
+    # the level's first Jacobian is NaN: the run ends at that level
     rep = continuation_solve(nan_on_calls(problem, {first}), kernel, x0)
-    assert rep.status is SolveStatus.CONVERGED
-    assert rep.trace[level].r == math.sqrt(r_failed * r_prev)
-    assert rep.trace[level].inner_status is InnerStatus.SUCCESS
-    assert rep.trace[level + 1].r < rep.trace[level].r
-
-    # the retry's first Jacobian is NaN too: the run ends at that level
-    rep = continuation_solve(nan_on_calls(problem, {first, first + 1}), kernel, x0)
     assert rep.status is SolveStatus.INNER_FAILURE
     assert len(rep.trace) == rep.out_iter == level + 1
     point = rep.trace[level]
     assert (point.r, point.inner_iters) == (r_failed, 0)
     assert point.inner_status is InnerStatus.SINGULAR_JACOBIAN
     assert np.array_equal(point.x, rep.trace[level - 1].x)
-    assert rep.in_iter == first + 2
+    assert rep.in_iter == first + 1
 
 
 def test_continuation_rejects_bad_start_shape(exponential, analytic2d_problem):
@@ -616,7 +608,7 @@ def raising_jacobian(exc):
     (problem_from_selector("analytic2d"), "rational", [1e300] * 2,
      SolveStatus.EVALUATION_ERROR, 1),
     (problem_from_selector("analytic2d"), "exp", [1e50] * 2, SolveStatus.EVALUATION_ERROR, 1),
-    # the first level's Newton matrix is singular, with no earlier r to retry at
+    # the first level's Newton matrix is singular
     (problem_from_selector("nash5"), "rational", [1e-150] * 5, SolveStatus.INNER_FAILURE, 1),
     # the inner solve raises
     (raising_jacobian(EvaluationError("no JF here")), "exp", [0.0], SolveStatus.EVALUATION_ERROR, 1),
