@@ -14,8 +14,10 @@ import numpy as np
 from .kernels import _all_finite, _require_finite_min
 
 
-def softmin_overrides(p, c1, x0, psi0, slope) -> dict:
-    """softmin_override and softmin_partials_override of a power kernel.
+def softmin_overrides(p, c1, x0, psi0, slope) -> tuple:
+    """softmin_override and softmin_partials_override of a power kernel, and
+    their fused form: (g, dg/ds, dg/dt) from one _compose, which gives way
+    to the two calls once either override is replaced.
 
     psi is (1 + c1 x)^(-p) on x >= x0 and psi0 + slope (x - x0) below (see
     _make_phi_lambda).  Both closed forms run in the log domain.  With
@@ -104,8 +106,7 @@ def softmin_overrides(p, c1, x0, psi0, slope) -> dict:
             big_g = np.where(big_l > lp0, xz - (w[0] + w[1]), big_g)
         return big_g
 
-    def softmin(s, t, r):
-        lo, x, u, big_l, on_branch = _compose(s, t, r)
+    def _softmin(s, t, r, lo, x, u, big_l, on_branch):
         if on_branch:
             g = np.minimum(r * _inverse(x, u, big_l), lo)
         else:
@@ -117,8 +118,7 @@ def softmin_overrides(p, c1, x0, psi0, slope) -> dict:
                 raise FloatingPointError("soft-min overflows the float range")
         return float(g) if g.ndim == 0 else g
 
-    def softmin_partials(s, t, r):
-        _, _, u, big_l, on_branch = _compose(s, t, r)
+    def _partials(u, big_l, on_branch):
         v_g = big_l / -p  # log1p(c1 G) where G is on the branch
         if big_l.max(initial=-math.inf) > lp0:
             # np.fmax takes v0 over the NaN u of arguments below -1/c1
@@ -135,7 +135,17 @@ def softmin_overrides(p, c1, x0, psi0, slope) -> dict:
             return float(d[0]), float(d[1])
         return d[0], d[1]
 
-    return dict(softmin_override=softmin, softmin_partials_override=softmin_partials)
+    def softmin(s, t, r):
+        return _softmin(s, t, r, *_compose(s, t, r))
+
+    def softmin_partials(s, t, r):
+        return _partials(*_compose(s, t, r)[2:])
+
+    def softmin_with_partials(s, t, r):
+        composed = _compose(s, t, r)
+        return (_softmin(s, t, r, *composed), *_partials(*composed[2:]))
+
+    return softmin, softmin_partials, softmin_with_partials
 
 
 def _head(v):

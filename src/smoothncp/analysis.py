@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import SmoothingKernel
-from .smoothing import _psi_sum, g_r, g_r_partials
+from .smoothing import _g_r_with_partials, _psi_sum, g_r, g_r_partials
 
 __all__ = [
     "AnalysisReport",
@@ -371,13 +371,6 @@ def _extrapolate(gs) -> float:
     return gs[2] + (gs[2] - gs[1]) * r2 / (r1 - r2)
 
 
-def _euler_deriv(f, s, t, ps, pt, r):
-    """f'(r) from f = g_r(s, t) and its partials ps, pt, by Euler's relation
-    r * f'(r) = f(r) - (s * ps + t * pt) for the degree-one homogeneous map
-    (s, t, r) -> g_r(s, t)."""
-    return (f - (s * ps + t * pt)) / r
-
-
 def g_r_deriv_r(kernel: SmoothingKernel, s, t, r: float):
     """Derivative of r -> g_r(s, t) through the closed identity
 
@@ -396,7 +389,7 @@ def g_r_deriv_r(kernel: SmoothingKernel, s, t, r: float):
         raise ValueError("g_r_deriv_r's s and t must be finite")
     ps, pt = g_r_partials(kernel, s, t, r)
     f = g_r(kernel, s, t, r)
-    d = _euler_deriv(f, s_, t_, ps, pt, r)
+    d = (f - (s_ * ps + t_ * pt)) / r
     return float(d) if d.ndim == 0 else d
 
 
@@ -440,11 +433,11 @@ def check_speed_bound(kernel: SmoothingKernel, s: float, t: float, r0: float) ->
     kernel's arithmetic can fail.  Inside them it can be false for a power
     kernel with lambda near 1 (phi:1.002, phi:1.01; see _SPEED_MAX).
 
-    By the homogeneity g_r(s, t) = r * g_1(s/r, t/r), one soft-min call at
-    (s/r, t/r, 1), over the sweep followed by r = 1e-6, 1e-7, 1e-8, gives
-    f(r), f(r0) as its first value and, by limit_probe's extrapolation,
-    f(0).  One call for the partials at the sweep's (s/r, t/r, 1), which
-    are homogeneous of degree zero, gives r * f'(r) by the Euler relation of
+    By the homogeneity g_r(s, t) = r * g_1(s/r, t/r), one evaluation of the
+    soft-min and its partials at (s/r, t/r, 1), over the sweep followed by
+    r = 1e-6, 1e-7, 1e-8 (smoothing._g_r_with_partials), gives f(r), f(r0)
+    as its first value, f(0) by limit_probe's extrapolation, and r * f'(r)
+    from the partials, homogeneous of degree zero, by the Euler relation of
     g_r_deriv_r.  So the report is the one that limit_probe, the sweep and
     g_r_deriv_r at (s/r, t/r, 1) give, bit for bit.  As the closed forms are
     homogeneous only up to rounding, max_defect can differ from a per-r
@@ -453,7 +446,11 @@ def check_speed_bound(kernel: SmoothingKernel, s: float, t: float, r0: float) ->
     scales.  The witness is the first violating r in sweep order, with the
     side of largest defect (ties go to upper, then lower, then derivative).
     """
-    s, t, r0 = _finite_positive((s, t, r0), "s, t and r0").tolist()
+    # Python floats are checked as they are: the sum is finite only if no
+    # argument is NaN or infinite; anything else is converted as a whole
+    if not (type(s) is type(t) is type(r0) is float
+            and math.isfinite(s + t + r0) and min(s, t, r0) > 0.0):
+        s, t, r0 = _finite_positive((s, t, r0), "s, t and r0").tolist()
     rs = r0 * _UNIT_SWEEP
     r_min = min(float(rs[-1]), _PROBE[-1])
     if not (r_min > 0.0 and max(s, t) / r_min <= _SPEED_MAX_RATIO):
@@ -469,21 +466,23 @@ def check_speed_bound(kernel: SmoothingKernel, s: float, t: float, r0: float) ->
             f"s and t must lie in [{_SPEED_MIN:g}, {_SPEED_MAX:g}] and r0 must "
             f"be at most {_SPEED_MAX:g}"
         )
-    # one soft-min call at (s/r, t/r, 1) for the sweep and the limit probe;
-    # the sweep's first r is r0, so its first value is f(r0)
+    # one soft-min evaluation at (s/r, t/r, 1) for the sweep and the limit
+    # probe, with the partials; the sweep's first r is r0, so its first
+    # value is f(r0)
     n = rs.size
     r_all = np.concatenate((rs, _PROBE_R))
     s_r, t_r = s / r_all, t / r_all
-    g1 = np.asarray(g_r(kernel, s_r, t_r, 1.0), dtype=float)
+    g1, ps, pt = _g_r_with_partials(kernel, s_r, t_r, 1.0, g_r, g_r_partials)
     f_all = r_all * g1
     f0 = _extrapolate(f_all[n:].tolist())
-    fr, s_r, t_r, g1 = f_all[:n], s_r[:n], t_r[:n], g1[:n]
+    fr = f_all[:n]
     fr0 = float(fr[0])
-    ps, pt = g_r_partials(kernel, s_r, t_r, 1.0)
-    rdf = rs * _euler_deriv(g1, s_r, t_r, ps, pt, 1.0)
-    upper = fr - f0 - SPEED_SLACK
+    # g_r_deriv_r's Euler relation at r = 1, where its division is exact
+    rdf = rs * (g1 - (s_r * ps + t_r * pt))[:n]
+    rise = fr - f0
+    upper = rise - SPEED_SLACK
     lower = f0 - rs * (f0 - fr0) / r0 - fr - SPEED_SLACK
-    derivative = rdf - (fr - f0) - SPEED_SLACK
+    derivative = rdf - rise - SPEED_SLACK
     worst = np.maximum(np.maximum(upper, lower), derivative)
     max_defect = float(worst.max())
     # a NaN max_defect takes the scan below: a NaN defect hides no violation

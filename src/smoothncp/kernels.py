@@ -101,6 +101,13 @@ def _small_pair(s, t):
     return None
 
 
+def _fused(softmin, partials, with_partials) -> dict:
+    """The override pair, with with_partials, their one evaluation of
+    (g, dg/ds, dg/dt), attached to softmin along with the pair it stands for."""
+    softmin._with_partials = (softmin, partials, with_partials)
+    return dict(softmin_override=softmin, softmin_partials_override=partials)
+
+
 @dataclass(frozen=True)
 class AnalyticBranch:
     """Globally convex C^2 representative of psi, used by curvature analysis.
@@ -127,6 +134,9 @@ class SmoothingKernel:
     kernel, the exponential family, and the phi_lambda kernels with lam > 1
     in the log domain (_power.softmin_overrides).  A kernel built with them
     unset uses the generic psi_inv(psi + psi) composition of smoothing.g_r.
+    The shipped pairs carry a fused form giving g and both partials from one
+    evaluation (_fused); a kernel that replaces either override makes the
+    two calls instead.
     """
 
     name: str
@@ -191,6 +201,10 @@ def _make_rational() -> SmoothingKernel:
     t.  Every quotient factor is at most 1 and q >= 0, so g <= min(s, t)
     holds in floating point.  g(s, +inf) = s with partials (0, 1); NaN,
     -inf and two +inf arguments raise FloatingPointError.
+
+    Their fused form shares the region test, den and quotients per entry on
+    the float path of up to _SMALL_N entries, and makes the two calls on any
+    other arguments or once either override is replaced.
     """
 
     def _outside_main(sp, tp, r):
@@ -309,6 +323,33 @@ def _make_rational() -> SmoothingKernel:
             return float(ds), float(dt)
         return ds, dt
 
+    # _softmin_float and _partials_float in one pass.  Their (lo, hi) is
+    # (s, t) where s < t and (t, s) elsewhere (on ties hi is s up to the sign
+    # of a zero, which max(hi, 0) and min(hi, 0) do not see), so max(lo, 0)
+    # and max(hi, 0) are sp and tp in that order: the region test, den and
+    # the quotients r/(r + sp), r/(r + tp) are shared bit for bit.
+    def softmin_with_partials(s, t, r):
+        pair = _small_pair(s, t)
+        if pair is None or not _sums_finite(s, t):
+            return (softmin(s, t, r), *softmin_partials(s, t, r))
+        r, gs, dss, dts = float(r), [], [], []
+        for s, t in zip(*pair):
+            sp = s if s > 0.0 else 0.0
+            tp = t if t > 0.0 else 0.0
+            if math.sqrt(sp) * math.sqrt(tp) < r:
+                ds, dt = r / (r + sp), r / (r + tp)
+                if s < t:
+                    gs.append(s * ds - (r * dt - (t if t < 0.0 else 0.0)))
+                else:
+                    gs.append(t * dt - (r * ds - (s if s < 0.0 else 0.0)))
+            else:
+                den = (sp + tp) + 2.0 * r
+                gs.append((tp / den * sp if s < t else sp / den * tp) - r * (r / den))
+                ds, dt = (r + tp) / den, (r + sp) / den
+            dss.append(ds * ds)
+            dts.append(dt * dt)
+        return np.array(gs), np.array(dss), np.array(dts)
+
     branch = AnalyticBranch(
         psi=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
         dpsi=lambda x: -1.0 / (1.0 + np.asarray(x, dtype=float)) ** 2,
@@ -318,7 +359,7 @@ def _make_rational() -> SmoothingKernel:
     )
     return SmoothingKernel(
         "rational", **_spliced(branch, lambda u: u / (u + 1.0), 0.0, 1.0, -1.0),
-        softmin_override=softmin, softmin_partials_override=softmin_partials,
+        **_fused(softmin, softmin_partials, softmin_with_partials),
     )
 
 
@@ -371,6 +412,22 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
             return float(ws), float(wt)
         return ws, wt
 
+    # Both of the above from one exponential: t - s = -(s - t) exactly, so
+    # exp(-|z|) is exp(-d gap/r) bit for bit.
+    def softmin_with_partials(s, t, r):
+        s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        lo = np.minimum(s_, t_)
+        _require_finite_min(lo)
+        z = d * (t_ - s_) / r
+        e = np.exp(-np.abs(z))
+        g = lo - (r / d) * np.log1p(e)
+        q = 1.0 / (1.0 + e)
+        ws = np.where(z >= 0.0, q, 1.0 - q)
+        wt = 1.0 - ws
+        if g.ndim == 0:
+            return float(g), float(ws), float(wt)
+        return g, ws, wt
+
     analytic = AnalyticBranch(psi, dpsi, d2psi, psi_inv, x_low=-math.inf)
     return SmoothingKernel(
         name=name,
@@ -380,8 +437,7 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
         d2psi=d2psi,
         psi_inv=psi_inv,
         analytic=analytic,
-        softmin_override=softmin,
-        softmin_partials_override=softmin_partials,
+        **_fused(softmin, softmin_partials, softmin_with_partials),
     )
 
 
@@ -437,7 +493,8 @@ def _make_phi_lambda(lam: float, c1: float = 1.0, d: float = 1.0) -> SmoothingKe
     # not compile it: without cached bytecode that took 1.3 ms per import
     from ._power import softmin_overrides
 
-    kernel = SmoothingKernel(name=name, **pieces, **softmin_overrides(p, c1, x0, psi0, slope))
+    overrides = _fused(*softmin_overrides(p, c1, x0, psi0, slope))
+    kernel = SmoothingKernel(name=name, **pieces, **overrides)
     return _nondegenerate(kernel)
 
 

@@ -97,6 +97,19 @@ def g_r_partials(kernel: SmoothingKernel, s, t, r: float):
     return kernel.dpsi(s_ / r) / w, kernel.dpsi(t_ / r) / w
 
 
+def _g_r_with_partials(kernel: SmoothingKernel, s, t, r, value=g_r, partials=g_r_partials):
+    """(g_r, *g_r_partials) bit for bit, from the kernel's fused form
+    (kernels._fused) while both overrides are the pair it was built from,
+    and else from value and partials, which a caller passes as the names its
+    own module resolves, so that a patched name is the one called."""
+    softmin = kernel.softmin_override
+    fused = getattr(softmin, "_with_partials", None)
+    if fused is not None and fused[0] is softmin and fused[1] is kernel.softmin_partials_override:
+        _check_r(r)
+        return fused[2](s, t, r)
+    return (value(kernel, s, t, r), *partials(kernel, s, t, r))
+
+
 def h_r(problem, kernel: SmoothingKernel, x, r: float, counter=None) -> np.ndarray:
     """Smoothed residual H_r(x)_i = g_r(x_i, F_i(x)).
 

@@ -1,6 +1,7 @@
 """Curvature and limit diagnostics for the soft-min family."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -632,6 +633,100 @@ def test_speed_bound_nan_defect_does_not_hide_a_violation():
     assert rep.outcome == "violated"
     assert rep.witness["r"] == 0.1 * np.geomspace(1.0, 1e-6, 25)[7]
     assert rep.witness["side"] == "upper"
+
+
+def _counting(fn, calls, key, keep_attributes):
+    """fn, counting its calls in calls[key]; with keep_attributes the wrapper
+    copies fn's attributes, as functools.wraps does."""
+
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+
+    return functools.wraps(fn)(counted) if keep_attributes else counted
+
+
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+@pytest.mark.parametrize("replaced", ["softmin", "partials", "both"])
+@pytest.mark.parametrize("keep_attributes", [False, True])
+def test_speed_bound_calls_replaced_overrides(selector, replaced, keep_attributes):
+    # a kernel whose overrides are not the pair its fused form was built from
+    # must reach the replaced functions, and report as its parts do
+    shipped = kernel_from_selector(selector)
+    calls = {"softmin": 0, "partials": 0}
+    softmin, partials = shipped.softmin_override, shipped.softmin_partials_override
+    if replaced != "partials":
+        softmin = _counting(softmin, calls, "softmin", keep_attributes)
+    if replaced != "softmin":
+        partials = _counting(partials, calls, "partials", keep_attributes)
+    kernel = dataclasses.replace(
+        shipped, softmin_override=softmin, softmin_partials_override=partials
+    )
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        s, t = rng.uniform(0.05, 10.0, 2).tolist()
+        r0 = float(rng.uniform(1e-3, 1.0))
+        before = dict(calls)
+        got = check_speed_bound(kernel, s, t, r0)
+        assert repr(got) == repr(check_speed_bound(shipped, s, t, r0))
+        for key in ("softmin", "partials"):
+            if replaced in (key, "both"):
+                assert calls[key] == before[key] + 1
+        _assert_same_report(kernel, s, t, r0)
+
+
+@pytest.mark.parametrize("selector", CONCAVE_KERNELS)
+@pytest.mark.parametrize("unset", ["softmin_override", "softmin_partials_override", "both"])
+def test_speed_bound_with_generic_composition(selector, unset):
+    # an unset override takes the generic psi_inv(psi + psi) composition
+    fields = ["softmin_override", "softmin_partials_override"] if unset == "both" else [unset]
+    kernel = dataclasses.replace(
+        kernel_from_selector(selector), **{f: None for f in fields}
+    )
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        s, t = rng.uniform(0.05, 10.0, 2).tolist()
+        r0 = float(rng.uniform(1e-3, 1.0))
+        if selector == "exp":
+            # exp(-s/r) underflows at the smallest r, so the generic soft-min
+            # and its partials raise, in the check as in its parts
+            message = "left the representable range of psi"
+            with pytest.raises(FloatingPointError, match=message):
+                check_speed_bound(kernel, s, t, r0)
+            with pytest.raises(FloatingPointError, match=message):
+                _speed_bound_by_parts(kernel, s, t, r0)
+            continue
+        assert check_speed_bound(kernel, s, t, r0).holds
+        _assert_same_report(kernel, s, t, r0)
+
+
+@pytest.mark.parametrize("bad", [None, -0.0])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_speed_bound_rejects_unusable_argument_types(rational, bad, position):
+    args = [1.5, 2.5, 0.5]
+    args[position] = bad
+    with pytest.raises(ValueError, match="^s, t and r0 must be finite and positive$"):
+        check_speed_bound(rational, *args)
+    for bad_value, error in (("abc", ValueError), ([1.5], ValueError),
+                             (np.array([1.5]), ValueError), (1 + 0j, TypeError)):
+        args[position] = bad_value
+        with pytest.raises(error):
+            check_speed_bound(rational, *args)
+
+
+@pytest.mark.parametrize(
+    "value, plain",
+    [("1.5", 1.5), (np.float32(1.5), 1.5), (np.array(1.5), 1.5), (True, 1.0), (2, 2.0),
+     (np.float64(1.5), 1.5)],
+    ids=["str", "float32", "0-d-array", "bool", "int", "float64"],
+)
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_speed_bound_accepts_real_arguments_as_floats(rational, value, plain, position):
+    args, plain_args = [1.5, 2.5, 0.5], [1.5, 2.5, 0.5]
+    args[position], plain_args[position] = value, plain
+    assert repr(check_speed_bound(rational, *args)) == repr(
+        check_speed_bound(rational, *plain_args)
+    )
 
 
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)

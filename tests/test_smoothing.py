@@ -21,7 +21,7 @@ from smoothncp import (
     problem_from_selector,
 )
 from smoothncp.kernels import _SMALL_N
-from smoothncp.smoothing import _newton_matrix
+from smoothncp.smoothing import _g_r_with_partials, _newton_matrix
 
 from decimal_softmin import power_kernel, reference, ulps
 
@@ -541,6 +541,95 @@ def test_exponential_partials_saturate_cleanly(exponential):
     # |s - t| / r = 1e6: the sigmoid underflows and the weights pin to {0, 1}
     assert g_r_partials(exponential, 1e4, 0.0, 1e-2) == (0.0, 1.0)
     assert g_r(exponential, 1e4, 0.0, 1e-2) == 0.0
+
+
+# --- g and its partials from one evaluation ----------------------------------------
+#
+# _g_r_with_partials runs a shipped kernel's fused closed form, which must
+# give (g_r, *g_r_partials) bit for bit, types included, and raise as g_r does.
+
+SHIPPED = ["rational", "exp", "phi:1:2", "phi:3", "phi:1.5", "phi:2", "phi:3:2",
+           "phi:1.25:0.5", "phi:1.002"]
+
+
+def _typed_bits(out):
+    return [(type(v), np.shape(v), np.asarray(v).dtype.str, np.asarray(v).tobytes())
+            for v in out]
+
+
+def _assert_fused_matches(kernel, s, t, r):
+    want = (g_r(kernel, s, t, r), *g_r_partials(kernel, s, t, r))
+    got = _g_r_with_partials(kernel, s, t, r)
+    assert len(got) == 3
+    assert _typed_bits(got) == _typed_bits(want), (kernel.name, s, t, r)
+
+
+def _fused_arguments(n, rng):
+    # magnitudes from 1e-6 to 1e6 of either sign, zeros of both signs and
+    # arguments below the splice point x0 = -r/(2 c1) of the power kernels
+    mag = 10.0 ** rng.uniform(-6.0, 6.0, (2, n))
+    pair = mag * rng.choice([-1.0, 1.0], (2, n), p=[0.2, 0.8])
+    pick = rng.random((2, n))
+    pair[pick < 0.1] = 0.0
+    pair[(0.1 <= pick) & (pick < 0.15)] = -0.0
+    return pair[0], pair[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("selector", SHIPPED)
+def test_fused_soft_min_is_bit_identical_to_the_two_calls(selector):
+    kernel = kernel_from_selector(selector)
+    assert kernel.softmin_override._with_partials[0] is kernel.softmin_override
+    rng = np.random.default_rng(29)
+    for r in (1.0, 1e-3, 7.5):
+        for n in (1, 28, 32, 33, 100):
+            s, t = _fused_arguments(n, rng)
+            _assert_fused_matches(kernel, s, t, r)
+            # one +inf argument
+            s[n // 2] = math.inf
+            _assert_fused_matches(kernel, s, t, r)
+        for s, t in ((1.0, 2.0), (0.3, 7.5), (2, 5), (np.float64(0.5), 3.0),
+                     (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.4 * r, 2.0),
+                     (-3.0 * r, -5.0 * r), (-1e3, 4.0), (math.inf, 2.0), (-2.0, math.inf)):
+            _assert_fused_matches(kernel, s, t, r)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("selector", SHIPPED)
+@pytest.mark.parametrize(
+    "pair", [(math.nan, 1.0), (1.0, math.nan), (-math.inf, 1.0), (2.0, -math.inf),
+             (math.inf, math.inf)],
+)
+@pytest.mark.parametrize("n", [0, 1, 28, 33])
+def test_fused_soft_min_raises_as_g_r_does(selector, pair, n):
+    # n = 0 is the scalar call; arrays carry the bad pair in their last entry
+    kernel = kernel_from_selector(selector)
+    if n:
+        s, t = np.linspace(0.5, 2.0, n), np.linspace(-0.1, 3.0, n)
+        s[-1], t[-1] = pair
+    else:
+        s, t = pair
+    with pytest.raises(Exception) as want:
+        g_r(kernel, s, t, 0.1)
+    with pytest.raises(want.type) as got:
+        _g_r_with_partials(kernel, s, t, 0.1)
+    assert type(got.value) is want.type and str(got.value) == str(want.value)
+
+
+@given(data=st.data())
+def test_fused_rational_float_path_is_bit_identical(rational, data):
+    # the rational fused form repeats the per-entry float formulas, so it is
+    # drawn over the same edge values as their float path
+    n = data.draw(st.sampled_from(SIZES))
+    r = data.draw(small_radii)
+    pairs = data.draw(st.lists(st.tuples(entries, entries), min_size=1, max_size=8))
+    s, t = (np.resize(np.array(v, dtype=float), n) for v in zip(*pairs))
+    want = _call(lambda: (g_r(rational, s, t, r), *g_r_partials(rational, s, t, r)))
+    got = _call(lambda: _g_r_with_partials(rational, s, t, r))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _typed_bits(got) == _typed_bits(want), (s, t, r)
 
 
 # --- the smoothed system ------------------------------------------------------
