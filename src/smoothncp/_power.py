@@ -14,13 +14,13 @@ import numpy as np
 from .kernels import _all_finite, _require_finite_min
 
 
-def softmin_overrides(p, c1, x0, psi0, slope) -> tuple:
-    """softmin_override and softmin_partials_override of a power kernel, and
-    their fused form: (g, dg/ds, dg/dt) from one _compose, which gives way
-    to the two calls once either override is replaced.
+def softmin_overrides(p, c1, x0, psi0, slope):
+    """The closed form of a power kernel's soft-min, closed_form(s, t, r,
+    value=True, partials=False), giving g, (dg/ds, dg/dt) or all three from
+    one _compose (see kernels._fused).
 
     psi is (1 + c1 x)^(-p) on x >= x0 and psi0 + slope (x - x0) below (see
-    _make_phi_lambda).  Both closed forms run in the log domain.  With
+    _make_phi_lambda).  g and its partials are formed in the log domain.  With
     a = s/r, b = t/r, u = log1p(c1 x), m = -slope and xz = x0 + psi0/m, the
     zero of the affine piece,
 
@@ -106,19 +106,21 @@ def softmin_overrides(p, c1, x0, psi0, slope) -> tuple:
             big_g = np.where(big_l > lp0, xz - (w[0] + w[1]), big_g)
         return big_g
 
-    def _softmin(s, t, r, lo, x, u, big_l, on_branch):
-        if on_branch:
-            g = np.minimum(r * _inverse(x, u, big_l), lo)
-        else:
-            with np.errstate(all="ignore"):
+    def closed_form(s, t, r, value=True, partials=False):
+        lo, x, u, big_l, on_branch = _compose(s, t, r)
+        if value:
+            if on_branch:
                 g = np.minimum(r * _inverse(x, u, big_l), lo)
-            # u = +inf at +inf: g is the other argument
-            g = np.where(u[0] == math.inf, t, np.where(u[1] == math.inf, s, g))
-            if not _all_finite(g):
-                raise FloatingPointError("soft-min overflows the float range")
-        return float(g) if g.ndim == 0 else g
-
-    def _partials(u, big_l, on_branch):
+            else:
+                with np.errstate(all="ignore"):
+                    g = np.minimum(r * _inverse(x, u, big_l), lo)
+                # u = +inf at +inf: g is the other argument
+                g = np.where(u[0] == math.inf, t, np.where(u[1] == math.inf, s, g))
+                if not _all_finite(g):
+                    raise FloatingPointError("soft-min overflows the float range")
+            g = float(g) if g.ndim == 0 else g
+            if not partials:
+                return g
         v_g = big_l / -p  # log1p(c1 G) where G is on the branch
         if big_l.max(initial=-math.inf) > lp0:
             # np.fmax takes v0 over the NaN u of arguments below -1/c1
@@ -131,21 +133,10 @@ def softmin_overrides(p, c1, x0, psi0, slope) -> tuple:
             with np.errstate(all="ignore"):
                 # u = +inf at +inf, where the partial is 0
                 d = np.where(u == math.inf, 0.0, _exp_p1(v_g, u))
-        if d.ndim == 1:
-            return float(d[0]), float(d[1])
-        return d[0], d[1]
+        ds, dt = (float(d[0]), float(d[1])) if d.ndim == 1 else (d[0], d[1])
+        return (g, ds, dt) if value else (ds, dt)
 
-    def softmin(s, t, r):
-        return _softmin(s, t, r, *_compose(s, t, r))
-
-    def softmin_partials(s, t, r):
-        return _partials(*_compose(s, t, r)[2:])
-
-    def softmin_with_partials(s, t, r):
-        composed = _compose(s, t, r)
-        return (_softmin(s, t, r, *composed), *_partials(*composed[2:]))
-
-    return softmin, softmin_partials, softmin_with_partials
+    return closed_form
 
 
 def _head(v):

@@ -90,9 +90,12 @@ class AnalysisReport:
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
-    """Geometric grid with a fixed point density per decade."""
+    """Geometric grid with a fixed point density per decade, which must be
+    finite and at least 1."""
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("log_grid requires 0 < lo < hi < inf")
+    if not 1.0 <= points_per_decade < math.inf:
+        raise ValueError("log_grid's points_per_decade must be finite and >= 1")
     decades = math.log10(hi / lo)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(lo, hi, n)

@@ -16,6 +16,7 @@ selector names each of them (kernel_from_selector).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,24 +72,25 @@ def _sums_finite(a, b):
         return bool(np.isfinite(a + b).all())
 
 
-# Soft-min arguments with at most this many entries are evaluated element by
-# element on Python floats.  The rational closed forms take about a dozen
-# numpy calls, 11 us whatever the size up to n ~ 100, against 1.2 us + 0.26
-# us per entry (g_r) and 1.7 us + 0.31 us per entry (partials) on floats
-# (2-core Xeon, Python 3.11, numpy 2.4).  The float path wins up to n ~ 38
-# for g_r and n ~ 28 for the partials; a Newton step makes one partials call
-# and at least one g_r call, and their sum crosses at n ~ 33.
+# The rational closed form evaluates two reals, or arrays of at most this
+# many entries, element by element on Python floats, in one loop for g, the
+# partials or both.  Its numpy path takes about a dozen numpy calls, 14 us
+# whatever the size up to n ~ 100, against 1.6 us + 0.34 us per entry (g_r)
+# and 2.0 us + 0.33 us per entry (partials) on floats (2-core Xeon, Python
+# 3.11, numpy 2.4).  The float path wins up to n ~ 38 for g_r and n ~ 35 for
+# the partials, and a Newton step, one partials call and at least one g_r
+# call, up to n ~ 37; no shipped problem or check has 33 to 37 entries.
 _SMALL_N = 32
 _REAL = (int, float)
-
-
-class _OffFloatPath(Exception):
-    """Raised by a float closed form for arguments it leaves to numpy."""
+_first = operator.itemgetter(0)
 
 
 def _small_pair(s, t):
-    """s and t as lists of floats if both are 1-D float64 arrays of one shape
-    with at most _SMALL_N entries, else None."""
+    """s and t as sequences of floats, with the function that packs a list of
+    per-entry results as the call returns it: for two reals, or for two 1-D
+    float64 arrays of one shape with at most _SMALL_N entries; else None."""
+    if isinstance(s, _REAL) and isinstance(t, _REAL):
+        return (float(s),), (float(t),), _first
     if (
         type(s) is np.ndarray
         and type(t) is np.ndarray
@@ -97,15 +99,27 @@ def _small_pair(s, t):
         and s.shape[0] <= _SMALL_N
         and s.dtype == t.dtype == np.float64
     ):
-        return s.tolist(), t.tolist()
+        return s.tolist(), t.tolist(), np.array
     return None
 
 
-def _fused(softmin, partials, with_partials) -> dict:
-    """The override pair, with with_partials, their one evaluation of
-    (g, dg/ds, dg/dt), attached to softmin along with the pair it stands for."""
-    softmin._with_partials = (softmin, partials, with_partials)
-    return dict(softmin_override=softmin, softmin_partials_override=partials)
+def _fused(closed_form) -> dict:
+    """The override pair of a kernel's closed form, closed_form(s, t, r,
+    value=True, partials=False), which returns g, (dg/ds, dg/dt) or all three.
+
+    The soft-min override is closed_form itself; the fused form, its one
+    evaluation of (g, dg/ds, dg/dt), is attached to it along with the pair
+    it stands for (see smoothing._g_r_with_partials).
+    """
+
+    def softmin_partials(s, t, r):
+        return closed_form(s, t, r, False, True)
+
+    def with_partials(s, t, r):
+        return closed_form(s, t, r, True, True)
+
+    closed_form._with_partials = (closed_form, softmin_partials, with_partials)
+    return dict(softmin_override=closed_form, softmin_partials_override=softmin_partials)
 
 
 @dataclass(frozen=True)
@@ -130,13 +144,14 @@ class SmoothingKernel:
 
     softmin_override / softmin_partials_override are numerically stable
     closed forms for the induced soft-min and its partial derivatives.
-    Every kernel kernel_from_selector builds ships them: the rational
-    kernel, the exponential family, and the phi_lambda kernels with lam > 1
-    in the log domain (_power.softmin_overrides).  A kernel built with them
-    unset uses the generic psi_inv(psi + psi) composition of smoothing.g_r.
-    The shipped pairs carry a fused form giving g and both partials from one
-    evaluation (_fused); a kernel that replaces either override makes the
-    two calls instead.
+    Every kernel kernel_from_selector builds ships them, both taken from one
+    closed form per kernel that gives g, the partials or all three (_fused):
+    the rational kernel, the exponential family, and the phi_lambda kernels
+    with lam > 1 in the log domain (_power.softmin_overrides).  A kernel
+    built with them unset uses the generic psi_inv(psi + psi) composition of
+    smoothing.g_r.  The shipped pairs carry that closed form's fused call,
+    g and both partials from one evaluation; a kernel that replaces either
+    override makes the two calls instead.
     """
 
     name: str
@@ -202,9 +217,10 @@ def _make_rational() -> SmoothingKernel:
     holds in floating point.  g(s, +inf) = s with partials (0, 1); NaN,
     -inf and two +inf arguments raise FloatingPointError.
 
-    Their fused form shares the region test, den and quotients per entry on
-    the float path of up to _SMALL_N entries, and makes the two calls on any
-    other arguments or once either override is replaced.
+    One closed form gives g, the partials or all three (see _fused): two
+    reals or up to _SMALL_N entries are evaluated per entry on Python floats,
+    where g and the partials share the region test, den and the quotients,
+    and other arguments, or a call where some s + t is not finite, by numpy.
     """
 
     def _outside_main(sp, tp, r):
@@ -240,74 +256,62 @@ def _make_rational() -> SmoothingKernel:
         d *= d
         return d[0], d[1]
 
-    # The same formulas on Python floats, operation for operation and with
-    # numpy's choice of argument on ties, so that both paths round alike.
-    # A pair whose sum is not finite is left to the numpy path.
-    def _softmin_float(s, t, r):
-        if not -math.inf < s + t < math.inf:
-            raise _OffFloatPath
-        lo = s if s < t else t
-        hi = s if s > t else t
-        lop = lo if lo > 0.0 else 0.0
-        hp = hi if hi > 0.0 else 0.0
-        if math.sqrt(lop) * math.sqrt(hp) < r:
-            return lo * (r / (r + lop)) - (r * (r / (r + hp)) - (hi if hi < 0.0 else 0.0))
-        den = (lop + hp) + 2.0 * r
-        return hp / den * lop - r * (r / den)
-
-    def _partials_float(s, t, r):
-        if not -math.inf < s + t < math.inf:
-            raise _OffFloatPath
-        sp = s if s > 0.0 else 0.0
-        tp = t if t > 0.0 else 0.0
-        if math.sqrt(sp) * math.sqrt(tp) < r:
-            ds = r / (r + sp)
-            dt = r / (r + tp)
-        else:
-            den = (sp + tp) + 2.0 * r
-            ds = (r + tp) / den
-            dt = (r + sp) / den
-        return ds * ds, dt * dt
+    # The same formulas per entry on Python floats, operation for operation
+    # and with numpy's choice of argument on ties, so that both paths round
+    # alike; None when some s + t is not finite, which is left to numpy.
+    # (lo, hi) is (s, t) where s < t and (t, s) elsewhere (on ties hi is s
+    # up to the sign of a zero, which max(hi, 0) and min(hi, 0) do not see),
+    # so max(lo, 0) and max(hi, 0) are sp and tp in that order, and the
+    # region test, den and the quotients r/(r + sp), r/(r + tp) serve g and
+    # the partials alike.
+    def _on_floats(s, t, pack, r, value, partials):
+        r, gs, dss, dts = float(r), [], [], []
+        inf, sqrt = math.inf, math.sqrt
+        for s, t in zip(s, t):
+            if not -inf < s + t < inf:
+                return None
+            sp = s if s > 0.0 else 0.0
+            tp = t if t > 0.0 else 0.0
+            if sqrt(sp) * sqrt(tp) < r:
+                ds, dt = r / (r + sp), r / (r + tp)
+                if value:
+                    gs.append(s * ds - (r * dt - (t if t < 0.0 else 0.0)) if s < t
+                              else t * dt - (r * ds - (s if s < 0.0 else 0.0)))
+            else:
+                den = (sp + tp) + 2.0 * r
+                if value:
+                    gs.append((tp / den * sp if s < t else sp / den * tp) - r * (r / den))
+                ds, dt = (r + tp) / den, (r + sp) / den
+            if partials:
+                dss.append(ds * ds)
+                dts.append(dt * dt)
+        if not partials:
+            return pack(gs)
+        return (pack(gs), pack(dss), pack(dts)) if value else (pack(dss), pack(dts))
 
     # Off the fast path (an infinite argument, or s + t overflows) the
     # identities g(s, t, r) = 2 g(s/2, t/2, r/2) and its degree-0 analogue
     # for the partials keep every intermediate sum in range.
-    def softmin(s, t, r):
-        try:
-            if isinstance(s, _REAL) and isinstance(t, _REAL):
-                return _softmin_float(float(s), float(t), float(r))
-            pair = _small_pair(s, t)
-            if pair is not None:
-                r_ = float(r)
-                return np.array(
-                    [_softmin_float(a, b, r_) for a, b in zip(*pair)], dtype=float
-                )
-        except _OffFloatPath:
-            pass
-        lo, hi = np.minimum(s, t), np.maximum(s, t)
-        if _sums_finite(lo, hi):
-            g = _softmin(lo, hi, r)
-        else:
-            _require_finite_min(lo)
-            inf = hi == math.inf
-            half = _softmin(0.5 * lo, 0.5 * np.where(inf, lo, hi), 0.5 * r)
-            g = np.where(inf, lo, 2.0 * half)
-            if not np.isfinite(g).all():
-                raise FloatingPointError("soft-min overflows the float range")
-        return float(g) if g.ndim == 0 else g
-
-    def softmin_partials(s, t, r):
-        try:
-            pair = _small_pair(s, t)
-            if pair is not None:
-                r_ = float(r)
-                d = [_partials_float(a, b, r_) for a, b in zip(*pair)]
-                return (
-                    np.array([ds for ds, _ in d], dtype=float),
-                    np.array([dt for _, dt in d], dtype=float),
-                )
-        except _OffFloatPath:
-            pass
+    def closed_form(s, t, r, value=True, partials=False):
+        small = _small_pair(s, t)
+        if small is not None:
+            out = _on_floats(*small, r, value, partials)
+            if out is not None:
+                return out
+        if value:
+            lo, hi = np.minimum(s, t), np.maximum(s, t)
+            if _sums_finite(lo, hi):
+                g = _softmin(lo, hi, r)
+            else:
+                _require_finite_min(lo)
+                inf = hi == math.inf
+                half = _softmin(0.5 * lo, 0.5 * np.where(inf, lo, hi), 0.5 * r)
+                g = np.where(inf, lo, 2.0 * half)
+                if not np.isfinite(g).all():
+                    raise FloatingPointError("soft-min overflows the float range")
+            g = float(g) if g.ndim == 0 else g
+            if not partials:
+                return g
         s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         if _sums_finite(s_, t_):
             ds, dt = _partials(s_, t_, r)
@@ -320,35 +324,8 @@ def _make_rational() -> SmoothingKernel:
             ds = np.where(s_inf, 0.0, np.where(t_inf, 1.0, ds))
             dt = np.where(t_inf, 0.0, np.where(s_inf, 1.0, dt))
         if ds.ndim == 0:
-            return float(ds), float(dt)
-        return ds, dt
-
-    # _softmin_float and _partials_float in one pass.  Their (lo, hi) is
-    # (s, t) where s < t and (t, s) elsewhere (on ties hi is s up to the sign
-    # of a zero, which max(hi, 0) and min(hi, 0) do not see), so max(lo, 0)
-    # and max(hi, 0) are sp and tp in that order: the region test, den and
-    # the quotients r/(r + sp), r/(r + tp) are shared bit for bit.
-    def softmin_with_partials(s, t, r):
-        pair = _small_pair(s, t)
-        if pair is None or not _sums_finite(s, t):
-            return (softmin(s, t, r), *softmin_partials(s, t, r))
-        r, gs, dss, dts = float(r), [], [], []
-        for s, t in zip(*pair):
-            sp = s if s > 0.0 else 0.0
-            tp = t if t > 0.0 else 0.0
-            if math.sqrt(sp) * math.sqrt(tp) < r:
-                ds, dt = r / (r + sp), r / (r + tp)
-                if s < t:
-                    gs.append(s * ds - (r * dt - (t if t < 0.0 else 0.0)))
-                else:
-                    gs.append(t * dt - (r * ds - (s if s < 0.0 else 0.0)))
-            else:
-                den = (sp + tp) + 2.0 * r
-                gs.append((tp / den * sp if s < t else sp / den * tp) - r * (r / den))
-                ds, dt = (r + tp) / den, (r + sp) / den
-            dss.append(ds * ds)
-            dts.append(dt * dt)
-        return np.array(gs), np.array(dss), np.array(dts)
+            ds, dt = float(ds), float(dt)
+        return (g, ds, dt) if value else (ds, dt)
 
     branch = AnalyticBranch(
         psi=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
@@ -359,7 +336,7 @@ def _make_rational() -> SmoothingKernel:
     )
     return SmoothingKernel(
         "rational", **_spliced(branch, lambda u: u / (u + 1.0), 0.0, 1.0, -1.0),
-        **_fused(softmin, softmin_partials, softmin_with_partials),
+        **_fused(closed_form),
     )
 
 
@@ -368,7 +345,9 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
 
     Satisfies the halving condition psi(s) <= psi(a*s)/2 for every a in (0,1)
     once s >= ln(2)/(d (1-a)), so the induced soft-min converges to the exact
-    min.
+    min.  One closed form gives g = min(s, t) - (r/d) log1p(exp(-|z|)) with
+    z = d (t - s)/r, its partials (the softmax weights of s and t) or all
+    three, forming exp(-|z|) once (see _fused).
     """
     d = float(rate)
 
@@ -389,44 +368,27 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
 
     # NaN, -inf and two +inf arguments are exactly those with a non-finite
     # min(s, t); checked before s - t, which is NaN for two infinities.
-    def softmin(s, t, r):
-        s_ = np.asarray(s, dtype=float)
-        t_ = np.asarray(t, dtype=float)
-        lo = np.minimum(s_, t_)
-        _require_finite_min(lo)
-        gap = np.abs(s_ - t_)
-        g = lo - (r / d) * np.log1p(np.exp(-d * gap / r))
-        return float(g) if g.ndim == 0 else g
-
-    def softmin_partials(s, t, r):
-        # softmax weights; computed so the pair sums to 1.0 exactly.  q is
-        # the weight of the larger argument, with exp(-|z|) <= 1
-        s_ = np.asarray(s, dtype=float)
-        t_ = np.asarray(t, dtype=float)
-        _require_finite_min(np.minimum(s_, t_))
-        z = d * (t_ - s_) / r
-        q = 1.0 / (1.0 + np.exp(-np.abs(z)))
-        ws = np.where(z >= 0.0, q, 1.0 - q)
-        wt = 1.0 - ws
-        if ws.ndim == 0:
-            return float(ws), float(wt)
-        return ws, wt
-
-    # Both of the above from one exponential: t - s = -(s - t) exactly, so
-    # exp(-|z|) is exp(-d gap/r) bit for bit.
-    def softmin_with_partials(s, t, r):
+    # The partials are softmax weights, computed so that the pair sums to
+    # 1.0 exactly, with q >= 1/2 the weight of the smaller argument.  e is
+    # exp(-|z|) at z = d (t - s)/r bit for bit, as t - s = -(s - t) exactly,
+    # and t >= s where z >= 0 but for a z that underflows to -0.0, where
+    # q = 0.5 = 1 - q.
+    def closed_form(s, t, r, value=True, partials=False):
         s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         lo = np.minimum(s_, t_)
         _require_finite_min(lo)
-        z = d * (t_ - s_) / r
-        e = np.exp(-np.abs(z))
-        g = lo - (r / d) * np.log1p(e)
+        e = np.exp(-d * np.abs(s_ - t_) / r)
+        if value:
+            g = lo - (r / d) * np.log1p(e)
+            g = float(g) if g.ndim == 0 else g
+            if not partials:
+                return g
         q = 1.0 / (1.0 + e)
-        ws = np.where(z >= 0.0, q, 1.0 - q)
+        ws = np.where(t_ >= s_, q, 1.0 - q)
         wt = 1.0 - ws
-        if g.ndim == 0:
-            return float(g), float(ws), float(wt)
-        return g, ws, wt
+        if ws.ndim == 0:
+            ws, wt = float(ws), float(wt)
+        return (g, ws, wt) if value else (ws, wt)
 
     analytic = AnalyticBranch(psi, dpsi, d2psi, psi_inv, x_low=-math.inf)
     return SmoothingKernel(
@@ -437,7 +399,7 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
         d2psi=d2psi,
         psi_inv=psi_inv,
         analytic=analytic,
-        **_fused(softmin, softmin_partials, softmin_with_partials),
+        **_fused(closed_form),
     )
 
 
@@ -493,7 +455,7 @@ def _make_phi_lambda(lam: float, c1: float = 1.0, d: float = 1.0) -> SmoothingKe
     # not compile it: without cached bytecode that took 1.3 ms per import
     from ._power import softmin_overrides
 
-    overrides = _fused(*softmin_overrides(p, c1, x0, psi0, slope))
+    overrides = _fused(softmin_overrides(p, c1, x0, psi0, slope))
     kernel = SmoothingKernel(name=name, **pieces, **overrides)
     return _nondegenerate(kernel)
 

@@ -852,3 +852,6 @@ def test_log_grid_shape():
     for lo, hi in [(1.0, 1.0), (0.0, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
         with pytest.raises(ValueError, match="log_grid requires 0 < lo < hi < inf"):
             log_grid(lo, hi)
+    for density in [0, -3, 0.5, math.nan, math.inf, -math.inf]:
+        with pytest.raises(ValueError, match="points_per_decade must be finite and >= 1"):
+            log_grid(0.01, 100.0, density)

@@ -537,6 +537,18 @@ def test_exponential_partials_are_the_two_sided_sigmoid(s, r, rate):
     assert dt.tobytes() == (1.0 - ws).tobytes()
 
 
+@given(s=st.lists(args, min_size=1, max_size=40), r=st.floats(1e-16, 1.0),
+       rate=st.sampled_from([1.0, 0.5, 3.0]))
+def test_exponential_value_is_its_written_formula(s, r, rate):
+    # with the test above, this pins the one exponential that g and the
+    # partials share: exp(-d |s - t|/r) is exp(-|z|) bit for bit
+    kern = kernel_from_selector("exp" if rate == 1.0 else f"phi:1:{rate:g}")
+    s = np.array(s)
+    t = s[::-1] + 0.125
+    want = np.minimum(s, t) - (r / rate) * np.log1p(np.exp(-rate * np.abs(s - t) / r))
+    assert g_r(kern, s, t, r).tobytes() == want.tobytes()
+
+
 def test_exponential_partials_saturate_cleanly(exponential):
     # |s - t| / r = 1e6: the sigmoid underflows and the weights pin to {0, 1}
     assert g_r_partials(exponential, 1e4, 0.0, 1e-2) == (0.0, 1.0)
@@ -550,6 +562,21 @@ def test_exponential_partials_saturate_cleanly(exponential):
 
 SHIPPED = ["rational", "exp", "phi:1:2", "phi:3", "phi:1.5", "phi:2", "phi:3:2",
            "phi:1.25:0.5", "phi:1.002"]
+
+
+@pytest.mark.parametrize("selector", SHIPPED)
+def test_real_scalars_give_the_bits_of_one_entry_arrays(selector):
+    kernel = kernel_from_selector(selector)
+    for s, t, r in ((1.0, 2.0, 1.0), (0.3, 7.5, 1e-3), (-0.1, 40.0, 2.0), (2.5, -0.4, 0.3),
+                    (1.5, 3, 0.5), (4, -2.0, 0.1), (np.float64(0.5), 3.0, 1e-2),
+                    (2.0, np.float64(-1.0), 1.0)):
+        one = np.array([float(s)]), np.array([float(t)])
+        g = g_r(kernel, s, t, r)
+        assert type(g) is float
+        assert np.array([g]).tobytes() == g_r(kernel, *one, r).tobytes()
+        ds, dt = g_r_partials(kernel, s, t, r)
+        assert type(ds) is float and type(dt) is float
+        assert np.array([ds, dt]).tobytes() == np.concatenate(g_r_partials(kernel, *one, r)).tobytes()
 
 
 def _typed_bits(out):
