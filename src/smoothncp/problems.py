@@ -314,7 +314,11 @@ class ProblemSpec:
         head = _CATALOG.get(name)
         if head is None or not (len(fields) == head.fields or 1 <= len(fields) < head.fields):
             raise ValueError(f"cannot parse problem selector {text!r}")
-        return cls(head.id, *([int(field) for field in fields] or [head.n]))
+        try:
+            values = [int(field) for field in fields]
+        except ValueError as exc:
+            raise ValueError(f"cannot parse problem selector {text!r}") from exc
+        return cls(head.id, *(values or [head.n]))
 
     def build(self) -> NcpProblem:
         head = next(head for head in _CATALOG.values() if head.id == self.id)

@@ -5,7 +5,6 @@ import pytest
 from smoothncp import kernel_from_selector, problem_from_selector
 
 hypothesis.settings.register_profile("ci", max_examples=200, deadline=None)
-hypothesis.settings.register_profile("fast", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("ci")
 
 

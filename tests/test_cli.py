@@ -1,10 +1,14 @@
 """Benchmark driver: start generation, aggregation, table formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import smoothncp
 from smoothncp import BenchRun, ProblemSpec, generate_starts, run_bench
 from smoothncp.cli import format_table, main, run_analyze, run_trace
 
@@ -301,8 +305,12 @@ def test_trace_lines():
 
 
 def test_main_solve_exit_code(capsys):
-    assert main(["solve", "--problem", "analytic2d", "--theta", "exp"]) == 0
-    assert "analytic2d" in capsys.readouterr().out
+    # the defaults are analytic2d with rational and exp
+    assert main(["solve"]) == 0
+    assert main(["solve", "--problem", "monotone:10"]) == 0
+    heads = [line.split(" status=")[0] for line in capsys.readouterr().out.splitlines()]
+    assert heads == [
+        f"{p} theta={k}" for p in ("analytic2d", "monotone_10") for k in ("rational", "exp")]
 
 
 @pytest.mark.parametrize("command", ["solve", "trace", "bench"])
@@ -316,8 +324,12 @@ def test_main_rejects_tolerances_that_are_not_finite_and_positive(command, tol, 
 
 
 def test_main_analyze_exit_codes(capsys):
-    assert main(["analyze", "--theta", "rational", "--check", "concavity"]) == 0
-    assert main(["analyze", "--theta", "rational", "--check", "ha", "--a", "0.25"]) == 0
+    # the checks each shipped kernel passes; ha runs at its default a = 0.25
+    for theta, checks in [("rational", "ha limits subadd_v concavity speed"),
+                          ("exp", "ha limits subadd_v speed"), ("phi:3", "concavity speed"),
+                          ("phi:1.5", "speed")]:
+        for check in checks.split():
+            assert main(["analyze", "--theta", theta, "--check", check]) == 0, (theta, check)
     assert main(["analyze", "--theta", "rational", "--check", "ha", "--a", "0.75"]) == 1
     capsys.readouterr()
 
@@ -362,23 +374,27 @@ def test_main_rejects_unknown_check(capsys):
 
 
 def test_main_bench_writes_file(tmp_path, capsys):
-    out = tmp_path / "table.csv"
-    code = main([
-        "bench", "--problem", "analytic2d", "--theta", "exp",
-        "--starts", "2", "--format", "csv", "--out", str(out),
-    ])
-    assert code == 0
+    out = tmp_path / "table"
+    argv = ["bench", "--problem", "analytic2d", "--starts", "2", "--out", str(out)]
+    assert main([*argv, "--format", "csv"]) == 0
     body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert body[0] == ",".join(COLUMNS)
-    capsys.readouterr()
+    assert body[0] == ",".join(COLUMNS) and len(body) == 3
+    assert main([*argv, "--verbose", "--format", "md"]) == 0
+    assert "per-start detail" in out.read_text().splitlines()
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(out.read_text())["columns"] == COLUMNS
+    assert capsys.readouterr().out == ""
 
 
 def test_main_trace_writes_file(tmp_path, capsys):
     out = tmp_path / "trace.csv"
-    code = main(["trace", "--problem", "analytic2d", "--theta", "exp", "--out", str(out)])
-    assert code == 0
-    assert out.read_text().splitlines()[0] == "kernel,outer_index,r,x_1,x_2,F_1,F_2,res,feas"
-    capsys.readouterr()
+    assert main(["trace", "--problem", "analytic2d", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "kernel,outer_index,r,x_1,x_2,F_1,F_2,res,feas"
+    assert {line.split(",")[0] for line in lines[1:]} == {"rational", "exp"}
+    assert main(["trace", "--problem", "monotone:10", "--out", str(out)]) == 0
+    assert out.read_text().startswith("kernel,outer_index,r,x_1,")
+    assert capsys.readouterr().out == ""
 
 
 def test_main_trace_exit_code_follows_convergence(capsys):
@@ -405,3 +421,15 @@ def test_main_unwritable_output(capsys):
     ])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("solve", 0), ("bench --problem monotone:1", 2), ("trace --out /nonexistent_dir_xyz/t.csv", 1),
+    ("analyze --theta rational --check concavity", 0),
+], ids=["solve", "bench", "trace", "analyze"])
+def test_entry_point_exit_code(argv, code):
+    # python -m smoothncp, in a fresh interpreter, exits with main's code
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(smoothncp.__file__))}
+    run = subprocess.run([sys.executable, "-m", "smoothncp", *argv.split()], env=env,
+                         capture_output=True)
+    assert run.returncode == code, run.stderr

@@ -12,7 +12,7 @@ import smoothncp
 
 # Run in a fresh interpreter, so that no other test has imported a submodule.
 IMPORT_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import smoothncp
 
 loaded = sorted(m for m in sys.modules if m.startswith("smoothncp"))
@@ -22,7 +22,8 @@ unresolved = [name for name in smoothncp.__all__ if not hasattr(smoothncp, name)
 loaded_after = sorted(m for m in sys.modules if m.startswith("smoothncp"))
 
 # every catalog head, the seeded ones with and without a seed, the protocol
-# starts and a one-start bench draw through the library's own generator
+# starts, a one-start bench draw through the library's own generator, and a
+# two-start bench command
 from smoothncp.problems import _CATALOG
 selectors = [head if not spec.fields else f"{head}:{spec.n + 2}" for head, spec in _CATALOG.items()]
 selectors += [f"{head}:{spec.n + 3}:7" for head, spec in _CATALOG.items() if spec.fields == 2]
@@ -31,12 +32,15 @@ for spec in problems:
     spec.build()
 smoothncp.generate_starts(5, 11, 1)
 smoothncp.run_bench(smoothncp.BenchRun(tuple(problems), ("rational",), starts_per_problem=1))
+with contextlib.redirect_stdout(io.StringIO()):
+    bench_code = smoothncp.cli.main(["bench", "--problem", "hphard:20", "--starts", "2"])
 print(json.dumps({
     "loaded": loaded,
     "missing_from_dir": missing_from_dir,
     "unresolved": unresolved,
     "loaded_after": loaded_after,
     "built": selectors,
+    "bench_code": bench_code,
     "numpy_random": "numpy.random" in sys.modules,
 }))
 """
@@ -69,6 +73,7 @@ def test_import_loads_only_the_solver_stack():
     assert "smoothncp.cli" in probe["loaded_after"]
     # no library path imports numpy.random, only the tests do
     assert len(probe["built"]) == len(set(probe["built"])) == 9
+    assert probe["bench_code"] == 0
     assert not probe["numpy_random"]
 
 

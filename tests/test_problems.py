@@ -11,6 +11,7 @@ from smoothncp import (
     problem_from_selector,
     res_metric,
 )
+from smoothncp.cli import main
 from smoothncp.problems import _active_set_solve as active_set_solve
 
 from p_sampling import p0_sample_test
@@ -207,13 +208,20 @@ def test_selector_rejects_garbage(bad):
         ("hphard:0", "hp_hard needs an explicit n >= 1"),
         ("linspd:0", "linear_spd needs an explicit n >= 1"),
         ("nash7", "cannot parse problem selector 'nash7'"),
+        # fields that are not integers
+        ("hphard:x", "cannot parse problem selector 'hphard:x'"),
+        ("monotone:1e3", "cannot parse problem selector 'monotone:1e3'"),
+        ("hphard:5:", "cannot parse problem selector 'hphard:5:'"),
     ],
-    ids=["monotone:1", "hphard:0", "linspd:0", "nash7"],
+    ids=["monotone:1", "hphard:0", "linspd:0", "nash7", "hphard:x", "monotone:1e3", "hphard:5:"],
 )
-def test_selector_rejects_sizes_the_family_lacks(bad, message):
+def test_selector_rejects_sizes_the_family_lacks(bad, message, capsys):
     # the size rule is checked when the selector is parsed, not at build time
     with pytest.raises(ValueError, match=f"^{message}$"):
         ProblemSpec.from_selector(bad)
+    # bench exits 2 with the message, before it solves anything
+    assert main(["bench", "--problem", bad]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("selector", ["hphard:20:-1", "linspd:8:-3", "hphard:1:-4294967297"])

@@ -619,6 +619,10 @@ def test_fused_soft_min_is_bit_identical_to_the_two_calls(selector):
                      (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.4 * r, 2.0),
                      (-3.0 * r, -5.0 * r), (-1e3, 4.0), (math.inf, 2.0), (-2.0, math.inf)):
             _assert_fused_matches(kernel, s, t, r)
+    # the 28 scaled points (s/r, t/r) at which check_speed_bound(kernel, 2.5,
+    # 3.7, 0.3) evaluates the fused form at r = 1, out to 3.7e8
+    r = np.concatenate((0.3 * np.geomspace(1.0, 1e-6, 25), [1e-6, 1e-7, 1e-8]))
+    _assert_fused_matches(kernel, 2.5 / r, 3.7 / r, 1.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -645,8 +649,9 @@ def test_fused_soft_min_raises_as_g_r_does(selector, pair, n):
 
 @given(data=st.data())
 def test_fused_rational_float_path_is_bit_identical(rational, data):
-    # the rational fused form repeats the per-entry float formulas, so it is
-    # drawn over the same edge values as their float path
+    # small inputs take the rational kernel's one float loop, which serves g,
+    # the partials and the fused form alike, so the fused call is drawn over
+    # the same edge values as test_rational_float_path_matches_numpy_bit_for_bit
     n = data.draw(st.sampled_from(SIZES))
     r = data.draw(small_radii)
     pairs = data.draw(st.lists(st.tuples(entries, entries), min_size=1, max_size=8))
