@@ -88,7 +88,7 @@ class BenchRun:
     kernels: tuple
     starts_per_problem: int = 11
     rng_seed: int = 1
-    tol: float = 1e-8
+    tol: float = SolverConfig.outer_tol
 
     def __post_init__(self):
         for name in ("starts_per_problem", "rng_seed"):
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="problem selector, repeatable (default analytic2d)")
     solve_p.add_argument("--theta", action="append",
                          help="kernel selector, repeatable (default rational and exp)")
-    solve_p.add_argument("--tol", type=float, default=1e-8)
+    solve_p.add_argument("--tol", type=float, default=SolverConfig.outer_tol)
     solve_p.add_argument("--out", default=None)
 
     bench_p = sub.add_parser("bench", help="run the benchmark protocol and print a table")
@@ -293,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="problem selector, repeatable (default: the shipped suite)")
     bench_p.add_argument("--theta", action="append",
                          help="kernel selector, repeatable (default rational and exp)")
-    bench_p.add_argument("--seed", type=int, default=1)
-    bench_p.add_argument("--starts", type=int, default=11)
-    bench_p.add_argument("--tol", type=float, default=1e-8)
+    bench_p.add_argument("--seed", type=int, default=BenchRun.rng_seed)
+    bench_p.add_argument("--starts", type=int, default=BenchRun.starts_per_problem)
+    bench_p.add_argument("--tol", type=float, default=SolverConfig.outer_tol)
     bench_p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     bench_p.add_argument("--out", default=None)
     bench_p.add_argument("--verbose", action="store_true",
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.set_defaults(run=_cmd_trace)
     trace_p.add_argument("--problem", default="analytic2d")
     trace_p.add_argument("--theta", action="append")
-    trace_p.add_argument("--tol", type=float, default=1e-8)
+    trace_p.add_argument("--tol", type=float, default=SolverConfig.outer_tol)
     trace_p.add_argument("--out", default=None)
 
     analyze_p = sub.add_parser("analyze", help="run one kernel property check, emit JSON")
@@ -329,7 +329,7 @@ def _bench_run(args, problems) -> BenchRun:
         problems=tuple(ProblemSpec.from_selector(s) for s in problems),
         kernels=tuple(args.theta or DEFAULT_KERNELS),
         starts_per_problem=getattr(args, "starts", 1),
-        rng_seed=getattr(args, "seed", 1),
+        rng_seed=getattr(args, "seed", BenchRun.rng_seed),
         tol=args.tol,
     )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -481,7 +482,8 @@ def kernel_from_selector(selector: str) -> SmoothingKernel:
         return _make_phi_lambda(1.0)
     if sel.startswith("phi:"):
         parts = sel.split(":")
-        if len(parts) not in (2, 3):
+        # float() would also read underscores, blanks and non-ASCII digits
+        if len(parts) not in (2, 3) or not all(re.fullmatch("[0-9A-Za-z.+-]+", p) for p in parts):
             raise ValueError(f"malformed kernel selector {selector!r}")
         try:
             lam = float(parts[1])

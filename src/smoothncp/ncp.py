@@ -1,9 +1,11 @@
-"""Problem abstraction and residual metrics.
+"""Problem abstraction, evaluation counts and residual metrics.
 
 A complementarity problem asks for x >= 0 with F(x) >= 0 and x_i F_i(x) = 0
 per component.  Progress is measured by two metrics: Res(x), the worst
 componentwise product |x_i F_i(x)|, and Feas(x), the l1 mass of the negative
-parts of x and F(x).  Both vanish together exactly at solutions.
+parts of x and F(x).  Both vanish together exactly at solutions.  F and its
+Jacobian tally their calls on an EvalCounter; a problem without an analytic
+Jacobian gets forward differences (fd_jacobian).
 """
 
 from __future__ import annotations
@@ -13,20 +15,45 @@ from typing import Callable
 
 import numpy as np
 
-from .smoothing import EvalCounter, fd_jacobian
-
 __all__ = [
+    "EvalCounter",
     "EvaluationError",
     "NcpProblem",
+    "fd_jacobian",
     "res_metric",
     "feas_metric",
 ]
 
 SOLUTION_TOL = 1e-8
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+
+@dataclass
+class EvalCounter:
+    """Per-run evaluation tally; each solve owns one, so counts stay exact
+    under concurrent solves of distinct runs."""
+
+    f_evals: int = 0
+    jac_evals: int = 0
 
 
 class EvaluationError(Exception):
     """Raised when F (or its Jacobian) is asked for a point outside its domain."""
+
+
+def fd_jacobian(f: Callable, x: np.ndarray, rel_step: float | None = None) -> np.ndarray:
+    """Forward-difference Jacobian with step rel_step * (1 + |x_j|) per column."""
+    step = _SQRT_EPS if rel_step is None else rel_step
+    x_ = np.asarray(x, dtype=float)
+    f0 = np.asarray(f(x_), dtype=float)
+    n = x_.size
+    out = np.empty((f0.size, n))
+    for j in range(n):
+        h = step * (1.0 + abs(x_[j]))
+        xp = x_.copy()
+        xp[j] += h
+        out[:, j] = (np.asarray(f(xp), dtype=float) - f0) / h
+    return out
 
 
 def res_metric(x, fx) -> float:

@@ -7,6 +7,7 @@ Randomized families are deterministic functions of (n, seed).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -312,13 +313,13 @@ class ProblemSpec:
         monotone:<n>, linspd:<n>[:<seed>].  Omitted seeds default to 0."""
         name, *fields = text.strip().split(":")
         head = _CATALOG.get(name)
-        if head is None or not (len(fields) == head.fields or 1 <= len(fields) < head.fields):
+        # a field is ASCII digits, where int() would also read underscores, a
+        # plus sign, blanks and non-ASCII digits; a minus is let through, so
+        # that a negative size or seed gets the spec's own message
+        fits = head is not None and (len(fields) == head.fields or 1 <= len(fields) < head.fields)
+        if not fits or not all(re.fullmatch("-?[0-9]+", field) for field in fields):
             raise ValueError(f"cannot parse problem selector {text!r}")
-        try:
-            values = [int(field) for field in fields]
-        except ValueError as exc:
-            raise ValueError(f"cannot parse problem selector {text!r}") from exc
-        return cls(head.id, *(values or [head.n]))
+        return cls(head.id, *([int(field) for field in fields] or [head.n]))
 
     def build(self) -> NcpProblem:
         head = next(head for head in _CATALOG.values() if head.id == self.id)

@@ -26,8 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .kernels import SmoothingKernel, _all_finite
-from .ncp import EvaluationError, NcpProblem, feas_metric, res_metric
-from .smoothing import EvalCounter, _newton_matrix, g_r, g_r_partials
+from .ncp import EvalCounter, EvaluationError, NcpProblem, feas_metric, res_metric
+from .smoothing import g_r, g_r_partials
 
 __all__ = [
     "SolveStatus",
@@ -44,7 +44,8 @@ ARMIJO_SIGMA = 1e-4
 # STALL_ALPHA: the level then costs many F evaluations per step and makes
 # little progress, and the next r serves the path better.
 STALL_ALPHA = 2.0 ** -6
-_STEP_LENGTHS = tuple(2.0 ** -k for k in range(7))  # 1, 1/2, ..., STALL_ALPHA
+# the line search's step lengths 1, 1/2, ..., STALL_ALPHA
+_STEP_LENGTHS = tuple(2.0 ** -k for k in range(1 - int(math.log2(STALL_ALPHA))))
 # the smallest r of the schedule
 R_FLOOR = 1e-16
 
@@ -204,6 +205,17 @@ def _solve_dense(jac_h, h):
         return _finite(np.linalg.solve(jac_h, -h))
     except np.linalg.LinAlgError:
         return None
+
+
+def _newton_matrix(d1, d2, jf, tridiagonal: bool):
+    """The Newton matrix D1 + D2 * JF from the soft-min partials d1, d2, in
+    the form of jf: dense, or for the (3, n) bands of a tridiagonal problem
+    its sub-, main and super-diagonals (dl, d, du)."""
+    if tridiagonal:
+        return d2[1:] * jf[2, :-1], d2 * jf[1] + d1, d2[:-1] * jf[0, 1:]
+    out = d2[:, None] * jf
+    out.flat[:: len(d1) + 1] += d1
+    return out
 
 
 def _newton_step(jf, d1, d2, h, tridiagonal: bool):

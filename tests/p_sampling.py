@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothncp import AnalysisReport, NcpProblem, h_r, problem_from_selector
+from smoothncp import AnalysisReport, NcpProblem, g_r, problem_from_selector
 
 P0_SLACK = 1e-12
 # every coordinate of a pair is drawn from this interval
@@ -72,7 +72,7 @@ def p_sample_test_hr(
     """
     return _p_sample_report(
         problem,
-        lambda z: h_r(problem, kernel, z, r),
+        lambda z: g_r(kernel, z, problem.F(z), r),
         pair_count,
         seed,
         strict=True,

@@ -464,8 +464,10 @@ def test_selector_parsing():
     assert kernel_from_selector("phi:2.5").name == "phi:2.5"
     with pytest.raises(ValueError):
         kernel_from_selector("cubic")
-    with pytest.raises(ValueError):
-        kernel_from_selector("phi:abc")
+    # float() reads each of these fields but abc: as 30, 10, 3 and 3
+    for bad in ("phi:abc", "phi:3_0", "phi:3:1_0", "phi: 3", "phi:\u0663"):
+        with pytest.raises(ValueError, match=f"^malformed kernel selector {bad!r}$"):
+            kernel_from_selector(bad)
 
 
 def test_factories_are_deterministic():

@@ -1,5 +1,7 @@
-"""What `import smoothncp` loads, and the names it exposes."""
+"""What `import smoothncp` loads, the names it exposes, and how its modules
+import each other."""
 
+import ast
 import json
 import os
 import subprocess
@@ -89,19 +91,49 @@ def test_lazy_names_are_the_submodule_objects():
 
 
 def test_public_names():
-    assert len(smoothncp.__all__) == len(set(smoothncp.__all__)) == 37
+    assert len(smoothncp.__all__) == len(set(smoothncp.__all__)) == 35
     assert sorted(smoothncp.__all__) == [
         "AnalysisReport", "AnalyticBranch", "BenchRun", "EvalCounter", "EvaluationError",
         "HaReport", "InnerStatus", "LimitEstimate", "NcpProblem", "ProblemSpec",
         "SmoothingKernel", "SolveReport", "SolveStatus", "SolverConfig", "TracePoint",
         "check_Ha", "check_concavity", "check_speed_bound", "check_subadditivity",
         "continuation_solve", "fd_jacobian", "feas_metric", "g_hessian_entries", "g_r",
-        "g_r_deriv_r", "g_r_partials", "generate_starts", "h_r", "h_r_jacobian",
-        "kernel_from_selector", "l_function", "limit_probe", "log_grid",
-        "problem_from_selector", "res_metric", "run_bench", "v_function",
+        "g_r_deriv_r", "g_r_partials", "generate_starts", "kernel_from_selector", "l_function",
+        "limit_probe", "log_grid", "problem_from_selector", "res_metric", "run_bench",
+        "v_function",
     ]
 
 
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'p0_sample_test'"):
         getattr(smoothncp, "p0_sample_test")
+
+
+# each module of the package and the package modules it imports, those
+# imported inside a function included; kernels imports _power only inside
+# the power kernel's factory, so the pair does not import in a cycle
+LAYERS = {
+    "__init__": {"kernels", "ncp", "problems", "smoothing", "solver"},
+    "__main__": {"cli"},
+    "_draws": set(),
+    "_power": {"kernels"},
+    "analysis": {"kernels", "smoothing"},
+    "cli": {"_draws", "analysis", "kernels", "problems", "solver"},
+    "kernels": {"_power"},
+    "ncp": set(),
+    "problems": {"_draws", "ncp"},
+    "smoothing": {"kernels"},
+    "solver": {"kernels", "ncp", "smoothing"},
+}
+
+
+def test_module_layering():
+    imports = {}
+    for path in Path(smoothncp.__file__).parent.glob("*.py"):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # `from .m import x` names m; `from . import m, n` names m and n
+                found |= {node.module} if node.module else {a.name for a in node.names}
+        imports[path.stem] = found
+    assert imports == LAYERS

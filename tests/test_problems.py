@@ -1,5 +1,7 @@
 """Benchmark problem catalog, its selectors, and the active-set oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -212,12 +214,19 @@ def test_selector_rejects_garbage(bad):
         ("hphard:x", "cannot parse problem selector 'hphard:x'"),
         ("monotone:1e3", "cannot parse problem selector 'monotone:1e3'"),
         ("hphard:5:", "cannot parse problem selector 'hphard:5:'"),
+        # fields that int() reads but that are not plain ASCII digits
+        ("monotone:1_0", "cannot parse problem selector 'monotone:1_0'"),
+        ("linspd:8:0_1", "cannot parse problem selector 'linspd:8:0_1'"),
+        ("hphard: 5", "cannot parse problem selector 'hphard: 5'"),
+        ("monotone:+7", "cannot parse problem selector 'monotone:+7'"),
+        ("monotone:\u0663", "cannot parse problem selector 'monotone:\u0663'"),
     ],
-    ids=["monotone:1", "hphard:0", "linspd:0", "nash7", "hphard:x", "monotone:1e3", "hphard:5:"],
+    ids=["monotone:1", "hphard:0", "linspd:0", "nash7", "hphard:x", "monotone:1e3", "hphard:5:",
+         "monotone:1_0", "linspd:8:0_1", "hphard: 5", "monotone:+7", "monotone:arabic-3"],
 )
 def test_selector_rejects_sizes_the_family_lacks(bad, message, capsys):
     # the size rule is checked when the selector is parsed, not at build time
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ProblemSpec.from_selector(bad)
     # bench exits 2 with the message, before it solves anything
     assert main(["bench", "--problem", bad]) == 2

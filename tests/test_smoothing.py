@@ -10,18 +10,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothncp import (
-    EvalCounter,
     NcpProblem,
     fd_jacobian,
     g_r,
     g_r_partials,
-    h_r,
-    h_r_jacobian,
     kernel_from_selector,
     problem_from_selector,
 )
 from smoothncp.kernels import _SMALL_N
-from smoothncp.smoothing import _g_r_with_partials, _newton_matrix
+from smoothncp.smoothing import _g_r_with_partials
+from smoothncp.solver import _newton_matrix
 
 from decimal_softmin import power_kernel, reference, ulps
 
@@ -105,8 +103,6 @@ def test_rejects_nonpositive_r(rational):
             g_r(rational, 1.0, 1.0, bad)
         with pytest.raises(ValueError):
             g_r_partials(rational, 1.0, 1.0, bad)
-        with pytest.raises(ValueError):
-            h_r(problem_from_selector("analytic2d"), rational, np.ones(2), bad)
 
 
 # --- partial derivatives ------------------------------------------------------
@@ -667,8 +663,15 @@ def test_fused_rational_float_path_is_bit_identical(rational, data):
 # --- the smoothed system ------------------------------------------------------
 
 
+def newton_matrix(problem, kernel, x, r):
+    """The Newton matrix D1 + D2 JF(x) of H_r, in the form the solver factors."""
+    d1, d2 = g_r_partials(kernel, x, problem.F(x), r)
+    return _newton_matrix(d1, d2, problem.jacobian(x), problem.tridiagonal)
+
+
 def test_h_frozen_on_analytic2d(exponential, analytic2d_problem):
-    h = h_r(analytic2d_problem, exponential, np.array([0.0, 1.0]), 0.1)
+    x = np.array([0.0, 1.0])
+    h = g_r(exponential, x, analytic2d_problem.F(x), 0.1)
     np.testing.assert_allclose(
         h, [-2.061153620314381e-10, -4.539889921686465e-06], rtol=1e-15)
     # F(0, 1) = (2, 0): both components are exact soft-min overrides
@@ -679,20 +682,6 @@ def test_h_frozen_on_analytic2d(exponential, analytic2d_problem):
     )
 
 
-def test_evaluation_counters(exponential, analytic2d_problem):
-    x = np.array([0.5, 1.5])
-    c = EvalCounter()
-    h_r(analytic2d_problem, exponential, x, 0.1, counter=c)
-    assert (c.f_evals, c.jac_evals) == (1, 0)
-    c = EvalCounter()
-    h_r_jacobian(analytic2d_problem, exponential, x, 0.1, counter=c)
-    assert (c.f_evals, c.jac_evals) == (1, 1)
-    c = EvalCounter()
-    fx = analytic2d_problem.eval_F(x)
-    h_r_jacobian(analytic2d_problem, exponential, x, 0.1, counter=c, fx=fx)
-    assert (c.f_evals, c.jac_evals) == (0, 1)
-
-
 @pytest.mark.parametrize("selector", ["analytic2d", "ks"])
 @pytest.mark.parametrize("r", [1.0, 1e-2])
 def test_jacobian_matches_finite_differences(kernel, selector, r):
@@ -700,8 +689,8 @@ def test_jacobian_matches_finite_differences(kernel, selector, r):
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.uniform(0.1, 3.0, size=problem.n)
-        jac = h_r_jacobian(problem, kernel, x, r)
-        fd = fd_jacobian(lambda y: h_r(problem, kernel, y, r), x, rel_step=1e-7)
+        jac = newton_matrix(problem, kernel, x, r)
+        fd = fd_jacobian(lambda y: g_r(kernel, y, problem.F(y), r), x, rel_step=1e-7)
         scale = 1.0 + np.abs(jac).max()
         assert np.abs(jac - fd).max() / scale < 1e-6
 
@@ -716,7 +705,7 @@ def test_identity_problem_jacobian_is_identity(exponential):
         eval_JF=lambda x: np.eye(3),
         known_solutions=[np.zeros(3)],
     )
-    jac = h_r_jacobian(problem, exponential, np.array([0.3, 1.0, 2.5]), 0.2)
+    jac = newton_matrix(problem, exponential, np.array([0.3, 1.0, 2.5]), 0.2)
     assert np.array_equal(jac, np.eye(3))
 
 
@@ -734,27 +723,6 @@ def test_newton_matrix_is_diagonal_plus_scaled_jacobian(n):
     assert (dl == dense.diagonal(-1)).all()
     assert (diag == dense.diagonal()).all()
     assert (du == dense.diagonal(1)).all()
-
-
-@pytest.mark.parametrize("selector", ["monotone:2", "monotone:10"])
-def test_h_r_jacobian_expands_tridiagonal_bands_bit_for_bit(kernel, selector):
-    # the dense Newton matrix of the same problem with its bands expanded
-    problem = problem_from_selector(selector)
-
-    def dense_jf(x):
-        bands = problem.jacobian(x)
-        out = np.diag(bands[1])
-        i = np.arange(problem.n - 1)
-        out[i, i + 1], out[i + 1, i] = bands[0, 1:], bands[2, :-1]
-        return out
-
-    dense = NcpProblem(name="dense", n=problem.n, eval_F=problem.eval_F, eval_JF=dense_jf)
-    x = np.linspace(0.2, 2.0, problem.n)
-    for r in (1.0, 1e-3):
-        c = EvalCounter()
-        jac = h_r_jacobian(problem, kernel, x, r, counter=c)
-        assert (c.f_evals, c.jac_evals) == (1, 1)
-        assert jac.tobytes() == h_r_jacobian(dense, kernel, x, r).tobytes()
 
 
 def test_fd_jacobian_on_quadratic():

@@ -16,16 +16,17 @@ from smoothncp import (
     SolverConfig,
     continuation_solve,
     g_r,
+    g_r_partials,
     generate_starts,
-    h_r,
-    h_r_jacobian,
     kernel_from_selector,
     problem_from_selector,
 )
 from smoothncp.ncp import feas_metric, res_metric
 from smoothncp import solver as solver_module
 from smoothncp.cli import DEFAULT_SUITE
-from smoothncp.solver import InnerResult, newton_inner, r_init, r_update, solve_tridiagonal
+from smoothncp.solver import (
+    InnerResult, _newton_matrix, newton_inner, r_init, r_update, solve_tridiagonal,
+)
 
 
 def line1d():
@@ -125,7 +126,7 @@ def test_inner_exponential_closed_form_root(exponential):
     assert res.status is InnerStatus.SUCCESS
     assert res.iterations <= 10
     assert res.x[0] == pytest.approx(0.1 * math.log1p(math.exp(10.0)), abs=1e-9)
-    assert np.max(np.abs(h_r(line1d(), exponential, res.x, 0.1))) <= 1e-10
+    assert np.max(np.abs(g_r(exponential, res.x, line1d().F(res.x), 0.1))) <= 1e-10
 
 
 def test_inner_rational_closed_form_root(rational):
@@ -144,7 +145,7 @@ def merits_of(problem, kernel, r, x0, iterations):
         newton_inner(problem, kernel, r, x0, SolverConfig(max_inner=k)).x
         for k in range(1, iterations + 1)
     ]
-    return [0.5 * float(h @ h) for h in (h_r(problem, kernel, x, r) for x in points)]
+    return [0.5 * float(h @ h) for h in (g_r(kernel, x, problem.F(x), r) for x in points)]
 
 
 def test_inner_merit_strictly_decreases(kernel):
@@ -175,15 +176,17 @@ def test_inner_warm_start_is_free(exponential):
     assert warm.iterations == 0
 
 
-def test_inner_dense_step_solves_with_h_r_jacobian(kernel, ks_problem):
+def test_inner_dense_step_solves_with_the_newton_matrix(kernel, ks_problem):
     # near the nondegenerate ks solution the full Newton step is accepted;
-    # it must be the step of the matrix h_r_jacobian returns, to the bit
+    # it must be the step of D1 + D2 JF and H_r at x0, to the bit
     r = 1e-3
     x0 = ks_problem.known_solutions[0] + np.array([2e-3, 1e-3, -1e-3, 1e-3])
     res = newton_inner(ks_problem, kernel, r, x0, SolverConfig(max_inner=1))
     assert res.iterations == 1
-    jac = h_r_jacobian(ks_problem, kernel, x0, r)
-    step = np.linalg.solve(jac, -h_r(ks_problem, kernel, x0, r))
+    fx = ks_problem.F(x0)
+    d1, d2 = g_r_partials(kernel, x0, fx, r)
+    jac = _newton_matrix(d1, d2, ks_problem.jacobian(x0), False)
+    step = np.linalg.solve(jac, -g_r(kernel, x0, fx, r))
     assert res.x.tobytes() == (x0 + step).tobytes()
 
 
