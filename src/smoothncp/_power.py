@@ -44,12 +44,8 @@ def softmin_overrides(p, c1, x0, psi0, slope):
     No psi value is formed, so nothing underflows where psi does (phi:1.002
     on ordinary grids).  g(s, +inf) = s with partials (1, 0); NaN, -inf and
     two +inf arguments raise FloatingPointError, and so does a soft-min that
-    overflows.
-
-    a and b are the rows of one array; real scalars are its 0-d case.
-    Arguments on the branch with c1 s/r and c1 t/r at most 1e300 take a
-    path with no np.where and no np.errstate; the others compute both
-    pieces.  Both paths give the same bits on the entries they share.
+    overflows.  a and b are the rows of one array, real scalars its 0-d
+    case; an entry's bits do not depend on the other entries.
     """
     m = -slope
     log_m, log_c1, lp0, xz = math.log(m), math.log(c1), math.log(psi0), x0 + psi0 / m
@@ -73,30 +69,18 @@ def softmin_overrides(p, c1, x0, psi0, slope):
         return np.exp(e) * (1.0 + (rest - (e - hi)))
 
     def _compose(s, t, r):
-        # min(s, t), x = (a, b), u = (u(a), u(b)), L, and whether every
-        # argument is on the branch with c1 a, c1 b <= 1e300
+        # min(s, t), x = (a, b), u = (u(a), u(b)) and L
         s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         if s_.shape != t_.shape:
             s_, t_ = np.broadcast_arrays(s_, t_)
-        lo, st = np.minimum(s_, t_), np.array((s_, t_))
-        # r > 0, so min(s, t)/r is the least of a and b, bit for bit
-        if (
-            float(lo.min(initial=math.inf)) / r >= x0
-            and float(st.max(initial=-math.inf)) / r <= cap
-        ):
-            x = st if r == 1.0 else st / r  # x/1.0 and 1.0 x are x bit for bit
-            u = np.log1p(x if c1 == 1.0 else c1 * x)
-            lp = -p * u
-            return lo, x, u, np.logaddexp(lp[0], lp[1]), True
-        with np.errstate(all="ignore"):
-            x = st / r
-            # u is NaN below -1/c1; above cap, log1p(c1 x) = log(c1) + log(x)
-            u = np.where(x <= cap, np.log1p(c1 * x), log_c1 + np.log(x))
-            lp = np.where(x >= x0, -p * u, log_m + np.log(xz - x))
-            big_l = np.logaddexp(lp[0], lp[1])
+        x = np.array((s_, t_)) / r
+        # u is NaN below -1/c1; above cap, log1p(c1 x) = log(c1) + log(x)
+        u = np.where(x <= cap, np.log1p(c1 * x), log_c1 + np.log(x))
+        lp = np.where(x >= x0, -p * u, log_m + np.log(xz - x))
+        big_l = np.logaddexp(lp[0], lp[1])
         # L is NaN for a NaN argument, +inf for -inf and -inf for two +inf
         _require_finite_min(big_l)
-        return lo, x, u, big_l, False
+        return np.minimum(s_, t_), x, u, big_l
 
     def _inverse(x, u, big_l):
         # G = g/r; on the affine piece it sums w = psi/m of both arguments
@@ -106,18 +90,15 @@ def softmin_overrides(p, c1, x0, psi0, slope):
             big_g = np.where(big_l > lp0, xz - (w[0] + w[1]), big_g)
         return big_g
 
+    @np.errstate(all="ignore")
     def closed_form(s, t, r, value=True, partials=False):
-        lo, x, u, big_l, on_branch = _compose(s, t, r)
+        lo, x, u, big_l = _compose(s, t, r)
         if value:
-            if on_branch:
-                g = np.minimum(r * _inverse(x, u, big_l), lo)
-            else:
-                with np.errstate(all="ignore"):
-                    g = np.minimum(r * _inverse(x, u, big_l), lo)
-                # u = +inf at +inf: g is the other argument
-                g = np.where(u[0] == math.inf, t, np.where(u[1] == math.inf, s, g))
-                if not _all_finite(g):
-                    raise FloatingPointError("soft-min overflows the float range")
+            g = np.minimum(r * _inverse(x, u, big_l), lo)
+            # u = +inf at +inf: g is the other argument
+            g = np.where(u[0] == math.inf, t, np.where(u[1] == math.inf, s, g))
+            if not _all_finite(g):
+                raise FloatingPointError("soft-min overflows the float range")
             g = float(g) if g.ndim == 0 else g
             if not partials:
                 return g
@@ -127,12 +108,8 @@ def softmin_overrides(p, c1, x0, psi0, slope):
             above = big_l > lp0
             v_g = np.where(above, v0, v_g)
             u = np.where(above, np.fmax(u, v0), u)
-        if on_branch:
-            d = _exp_p1(v_g, u)
-        else:
-            with np.errstate(all="ignore"):
-                # u = +inf at +inf, where the partial is 0
-                d = np.where(u == math.inf, 0.0, _exp_p1(v_g, u))
+        # u = +inf at +inf, where the partial is 0
+        d = np.where(u == math.inf, 0.0, _exp_p1(v_g, u))
         ds, dt = (float(d[0]), float(d[1])) if d.ndim == 1 else (d[0], d[1])
         return (g, ds, dt) if value else (ds, dt)
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import SmoothingKernel
-from .smoothing import _g_r_with_partials, _psi_sum, g_r, g_r_partials
+from .smoothing import _check_r, _g_r_with_partials, _psi_sum, g_r, g_r_partials
 
 __all__ = [
     "AnalysisReport",
@@ -358,7 +358,9 @@ def limit_probe(kernel: SmoothingKernel, s: float, t: float) -> LimitEstimate:
         raise ValueError("limit_probe's s and t must be finite")
     if not (math.isfinite(s / _PROBE[-1]) and math.isfinite(t / _PROBE[-1])):
         raise ValueError("limit_probe's s/r and t/r must be finite at the smallest r")
-    g1 = np.asarray(g_r(kernel, s / _PROBE_R, t / _PROBE_R, 1.0), dtype=float)
+    # s - t can overflow inside a closed form whose value is still right
+    with np.errstate(over="ignore"):
+        g1 = np.asarray(g_r(kernel, s / _PROBE_R, t / _PROBE_R, 1.0), dtype=float)
     gs = tuple((_PROBE_R * g1).tolist())
     consistent = abs(gs[2] - gs[1]) <= 0.75 * abs(gs[1] - gs[0]) + 1e-12
     return LimitEstimate(
@@ -381,17 +383,23 @@ def g_r_deriv_r(kernel: SmoothingKernel, s, t, r: float):
 
     which follows from Euler's relation for the degree-one homogeneous map
     (s, t, r) -> g_r(s, t).  Scalars and same-shape arrays s, t are both
-    accepted; scalar input gives a float.  A NaN or infinite entry of s or t
-    raises ValueError.  Once |s|/r and |t|/r pass about 1/eps, f(r) and
-    s * dG/ds + t * dG/dt agree in every digit and the identity cancels:
-    at (s, t, r) = (1e300, 1e300, 1) it gives 0.0 for the rational kernel,
-    where the exact value is -0.5.
+    accepted; scalar input gives a float.  A NaN or infinite entry of s, t,
+    s/r or t/r raises ValueError.  Once |s|/r and |t|/r pass about 1/eps,
+    f(r) and s * dG/ds + t * dG/dt agree in every digit and the identity
+    cancels: at (s, t, r) = (1e300, 1e300, 1) it gives 0.0 for the rational
+    kernel, where the exact value is -0.5.
     """
     s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
     if not (np.isfinite(s_).all() and np.isfinite(t_).all()):
         raise ValueError("g_r_deriv_r's s and t must be finite")
-    ps, pt = g_r_partials(kernel, s, t, r)
-    f = g_r(kernel, s, t, r)
+    _check_r(r)
+    # s/r can overflow here, and s - t inside a closed form whose value is
+    # still right
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(s_ / r).all() and np.isfinite(t_ / r).all()):
+            raise ValueError("g_r_deriv_r's s/r and t/r must be finite")
+        ps, pt = g_r_partials(kernel, s, t, r)
+        f = g_r(kernel, s, t, r)
     d = (f - (s_ * ps + t_ * pt)) / r
     return float(d) if d.ndim == 0 else d
 

@@ -15,6 +15,7 @@ selector names each of them (kernel_from_selector).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -106,21 +107,12 @@ def _small_pair(s, t):
 
 def _fused(closed_form) -> dict:
     """The override pair of a kernel's closed form, closed_form(s, t, r,
-    value=True, partials=False), which returns g, (dg/ds, dg/dt) or all three.
-
-    The soft-min override is closed_form itself; the fused form, its one
-    evaluation of (g, dg/ds, dg/dt), is attached to it along with the pair
-    it stands for (see smoothing._g_r_with_partials).
+    value=True, partials=False), which returns g, (dg/ds, dg/dt) or all three:
+    closed_form itself, and closed_form with value=False, partials=True, in
+    which smoothing._g_r_with_partials finds the fused call of all three.
     """
-
-    def softmin_partials(s, t, r):
-        return closed_form(s, t, r, False, True)
-
-    def with_partials(s, t, r):
-        return closed_form(s, t, r, True, True)
-
-    closed_form._with_partials = (closed_form, softmin_partials, with_partials)
-    return dict(softmin_override=closed_form, softmin_partials_override=softmin_partials)
+    partials = functools.partial(closed_form, value=False, partials=True)
+    return dict(softmin_override=closed_form, softmin_partials_override=partials)
 
 
 @dataclass(frozen=True)
@@ -150,9 +142,9 @@ class SmoothingKernel:
     the rational kernel, the exponential family, and the phi_lambda kernels
     with lam > 1 in the log domain (_power.softmin_overrides).  A kernel
     built with them unset uses the generic psi_inv(psi + psi) composition of
-    smoothing.g_r.  The shipped pairs carry that closed form's fused call,
-    g and both partials from one evaluation; a kernel that replaces either
-    override makes the two calls instead.
+    smoothing.g_r.  From a shipped pair, smoothing._g_r_with_partials gets
+    g and both partials from one evaluation of the closed form; a kernel
+    that replaces either override makes the two calls instead.
     """
 
     name: str

@@ -200,13 +200,16 @@ def _scalable_monotone(n: int) -> NcpProblem:
     )
 
 
-def _active_set_solve(m, q, tol: float = 1e-9) -> np.ndarray:
+_ACTIVE_SET_TOL = 1e-9
+
+
+def _active_set_solve(m, q) -> np.ndarray:
     """Exact solution of a linear problem by complementary enumeration.
 
     Tries every active set S: solve M_SS x_S = -q_S with the rest of x at
     zero, keep the first candidate whose x and Mx + q are nonnegative up
-    to `tol`, clip the stray negatives.  Exponential in n: _linear_spd
-    calls it only for n <= 12.
+    to _ACTIVE_SET_TOL, clip the stray negatives.  Exponential in n:
+    _linear_spd calls it only for n <= 12.
     """
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -219,10 +222,10 @@ def _active_set_solve(m, q, tol: float = 1e-9) -> np.ndarray:
                 x[active] = np.linalg.solve(m[np.ix_(active, active)], -q[active])
             except np.linalg.LinAlgError:
                 continue
-        if x.min() < -tol:
+        if x.min() < -_ACTIVE_SET_TOL:
             continue
         f = m @ x + q
-        if f.min() < -tol:
+        if f.min() < -_ACTIVE_SET_TOL:
             continue
         return np.maximum(x, 0.0)
     raise RuntimeError("no complementary basis was feasible")

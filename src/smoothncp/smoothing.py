@@ -13,6 +13,7 @@ assembles and solves by continuation Newton.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -80,13 +81,13 @@ def g_r_partials(kernel: SmoothingKernel, s, t, r: float):
 
 
 def _g_r_with_partials(kernel: SmoothingKernel, s, t, r, value=g_r, partials=g_r_partials):
-    """(g_r, *g_r_partials) bit for bit, from the kernel's fused form
-    (kernels._fused) while both overrides are the pair it was built from,
-    and else from value and partials, which a caller passes as the names its
-    own module resolves, so that a patched name is the one called."""
-    softmin = kernel.softmin_override
-    fused = getattr(softmin, "_with_partials", None)
-    if fused is not None and fused[0] is softmin and fused[1] is kernel.softmin_partials_override:
+    """(g_r, *g_r_partials) bit for bit, from one call of the kernel's closed
+    form while the partials override is that closed form with its partials
+    flag set (kernels._fused), and else from value and partials, which a
+    caller passes as the names its own module resolves, so that a patched
+    name is the one called."""
+    override = kernel.softmin_partials_override
+    if isinstance(override, functools.partial) and override.func is kernel.softmin_override:
         _check_r(r)
-        return fused[2](s, t, r)
+        return override.func(s, t, r, True, True)
     return (value(kernel, s, t, r), *partials(kernel, s, t, r))

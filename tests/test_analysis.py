@@ -392,10 +392,15 @@ def test_limit_probe_and_deriv_reject_non_finite_arguments(selector):
                 g_r_deriv_r(kernel, s, t, 1.0)
         with pytest.raises(ValueError, match="s and t must be finite"):
             g_r_deriv_r(kernel, np.array([1.0, 2.0]), np.array([0.5, math.inf]), 1.0)
-        # s/r or t/r overflows at the smallest r of the probe
+        # s/r or t/r overflows at the smallest r of the probe, or at r
         for s, t in ((1e301, 1.0), (1.0, -1e301)):
             with pytest.raises(ValueError, match="finite at the smallest r"):
                 limit_probe(kernel, s, t)
+        for s, t in ((1e300, 2.0), (1e300, 1e300), (2.0, -1e300)):
+            with pytest.raises(ValueError, match="s/r and t/r must be finite"):
+                g_r_deriv_r(kernel, s, t, 1e-10)
+        with pytest.raises(ValueError, match="s/r and t/r must be finite"):
+            g_r_deriv_r(kernel, np.array([1.0, 1e300]), np.array([0.5, 2.0]), 1e-10)
 
 
 @pytest.mark.parametrize("selector", CONCAVE_KERNELS)
@@ -407,7 +412,12 @@ def test_limit_probe_keeps_zero_negative_and_large_arguments(selector):
         assert limit_probe(kernel, -1.0, 2.0).limit == pytest.approx(-1.0, rel=1e-6)
         # s + t overflows inside the rational soft-min, with no warning
         est = limit_probe(kernel, 1e300, 1e300)
-    assert math.isfinite(est.limit)
+        assert math.isfinite(est.limit)
+        # s - t overflows inside the exponential one, whose value is still
+        # min(s, t)
+        est = limit_probe(kernel, 1.5e300, -1.5e300)
+        assert est.g_values == (-1.5e300,) * 3 and est.limit == -1.5e300
+        assert math.isfinite(g_r_deriv_r(kernel, 1e308, -1e308, 1.0))
 
 
 # --- d g_r / d r ------------------------------------------------------------------

@@ -345,10 +345,10 @@ def test_power_closed_form_matches_generic_composition(selector):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("selector", POWER + ["phi:1.002"])
-def test_power_closed_form_paths_agree_bit_for_bit(selector):
-    # arguments on the branch take a path with no np.where, one off-branch
-    # entry sends the whole call through both pieces, and two real scalars
-    # are a 0-d call.  Each entry gets the same bits either way
+def test_power_closed_form_entry_bits_do_not_depend_on_the_call(selector):
+    # an entry's bits do not depend on the other entries of its call (an
+    # appended off-branch pair, a shorter array), and two real scalars, a
+    # 0-d call, give an array entry's bits
     kern = kernel_from_selector(selector)
     rng = np.random.default_rng(17)
     for r in (1e-12, 1e-3, 1.0, 37.0):
@@ -367,8 +367,10 @@ def test_power_closed_form_paths_agree_bit_for_bit(selector):
             assert g_r_partials(kern, float(s[i]), float(t[i]), r) == (ds[i], dt[i])
 
 
-# s/r on both sides of x0 = -1/(2 c1) (x0 itself is added per kernel), up to 1e16
-ACCURACY_RATIOS = [-1e3, -1.3, -0.6, -0.4, -0.1, 0.0, 1e-3, 0.3, 1.0, 37.0, 1e6, 1e16]
+# s/r on both sides of x0 = -1/(2 c1) (x0 itself is added per kernel), up to
+# 1e303, past 1e300/c1 for each c1 here, where log1p(c1 s/r) is formed as
+# log(c1) + log(s/r)
+ACCURACY_RATIOS = [-1e3, -1.3, -0.6, -0.4, -0.1, 0.0, 1e-3, 0.3, 1.0, 37.0, 1e6, 1e16, 1e303]
 ACCURACY_RADII = [1e-12, 1.0, 1e2]
 
 
@@ -602,7 +604,7 @@ def _fused_arguments(n, rng):
 @pytest.mark.parametrize("selector", SHIPPED)
 def test_fused_soft_min_is_bit_identical_to_the_two_calls(selector):
     kernel = kernel_from_selector(selector)
-    assert kernel.softmin_override._with_partials[0] is kernel.softmin_override
+    assert kernel.softmin_partials_override.func is kernel.softmin_override
     rng = np.random.default_rng(29)
     for r in (1.0, 1e-3, 7.5):
         for n in (1, 28, 32, 33, 100):
