@@ -4,50 +4,46 @@ The library replaces the nonsmooth condition min(x_i, F_i(x)) = 0 with a
 one parameter family of smooth equations H_r(x) = 0 built from a kernel
 function, and drives r to zero with a fixed continuation schedule.
 
-`import smoothncp` loads the solver stack: the kernels, smoothing, ncp,
-problems and solver modules.  The analysis module (kernel property checks)
-and the cli module (bench, trace and analyze front ends) load on first use:
-the first access to one of their names, or to the module itself, imports it.
+`import smoothncp` loads no submodule.  Each of them (kernels, smoothing,
+ncp, problems, solver, analysis and cli) loads on first use: the first
+access to one of its public names, or to the module itself, imports it and
+the modules it imports.  A kernel check thus loads kernels, smoothing and
+analysis, and never the solver stack.
 """
 
 from importlib import import_module
 
-# each module's __all__ is its public surface, and the package re-exports it
-from . import kernels, ncp, problems, smoothing, solver
-from .kernels import *
-from .ncp import *
-from .problems import *
-from .smoothing import *
-from .solver import *
-
 __version__ = "0.1.0"
 
-# the names that load on first use, each with the submodule that defines it
+# each submodule with the public names the package re-exports from it: its
+# __all__, and for cli the three names of the bench front end
 _LAZY = {
-    "analysis": "analysis",
-    "AnalysisReport": "analysis",
-    "HaReport": "analysis",
-    "LimitEstimate": "analysis",
-    "check_Ha": "analysis",
-    "check_concavity": "analysis",
-    "check_speed_bound": "analysis",
-    "check_subadditivity": "analysis",
-    "g_hessian_entries": "analysis",
-    "g_r_deriv_r": "analysis",
-    "l_function": "analysis",
-    "limit_probe": "analysis",
-    "log_grid": "analysis",
-    "v_function": "analysis",
-    "cli": "cli",
-    "BenchRun": "cli",
-    "generate_starts": "cli",
-    "run_bench": "cli",
+    "kernels": ("AnalyticBranch", "SmoothingKernel", "kernel_from_selector"),
+    "smoothing": ("g_r", "g_r_partials"),
+    "ncp": (
+        "EvalCounter", "EvaluationError", "NcpProblem", "fd_jacobian", "res_metric",
+        "feas_metric",
+    ),
+    "problems": ("ProblemSpec", "problem_from_selector"),
+    "solver": (
+        "SolveStatus", "InnerStatus", "SolverConfig", "TracePoint", "SolveReport",
+        "continuation_solve",
+    ),
+    "analysis": (
+        "AnalysisReport", "HaReport", "LimitEstimate", "check_Ha", "log_grid", "v_function",
+        "l_function", "check_subadditivity", "g_hessian_entries", "check_concavity",
+        "limit_probe", "g_r_deriv_r", "check_speed_bound",
+    ),
+    "cli": ("BenchRun", "generate_starts", "run_bench"),
 }
+
+# each submodule and public name with the submodule that defines it
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
 
 def __getattr__(name):
-    """Import the submodule behind a name of _LAZY, and keep the name."""
-    module = _LAZY.get(name)
+    """Import the submodule behind a name of _HOME, and keep the name."""
+    module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = import_module(f"{__name__}.{module}")
@@ -58,10 +54,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_HOME))
 
 
-__all__ = sorted(
-    [name for module in (kernels, ncp, problems, smoothing, solver) for name in module.__all__]
-    + [name for name, module in _LAZY.items() if name != module]
-)
+__all__ = sorted(name for names in _LAZY.values() for name in names)

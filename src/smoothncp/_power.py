@@ -43,8 +43,10 @@ def softmin_overrides(p, c1, x0, psi0, slope):
     _exp_p1), so the partials lose no more than the rounding of u and L.
     No psi value is formed, so nothing underflows where psi does (phi:1.002
     on ordinary grids).  g(s, +inf) = s with partials (1, 0); NaN, -inf and
-    two +inf arguments raise FloatingPointError, and so does a soft-min that
-    overflows.  a and b are the rows of one array, real scalars its 0-d
+    two +inf arguments raise FloatingPointError.  So do a soft-min that
+    overflows and a finite argument whose s/r or t/r overflows, except to
+    +inf beside an argument whose ratio stays finite: g is then that
+    argument.  a and b are the rows of one array, real scalars its 0-d
     case; an entry's bits do not depend on the other entries.
     """
     m = -slope
@@ -79,7 +81,10 @@ def softmin_overrides(p, c1, x0, psi0, slope):
         lp = np.where(x >= x0, -p * u, log_m + np.log(xz - x))
         big_l = np.logaddexp(lp[0], lp[1])
         # L is NaN for a NaN argument, +inf for -inf and -inf for two +inf
-        _require_finite_min(big_l)
+        if not _all_finite(big_l):
+            _require_finite_min(np.minimum(s_, t_))
+            # no NaN, no -inf and not two +inf: a finite argument over r overflowed
+            raise FloatingPointError("soft-min's s/r or t/r overflows at a finite argument")
         return np.minimum(s_, t_), x, u, big_l
 
     def _inverse(x, u, big_l):

@@ -18,15 +18,6 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    check_Ha,
-    check_concavity,
-    check_speed_bound,
-    check_subadditivity,
-    limit_probe,
-    log_grid,
-    v_function,
-)
 from .kernels import kernel_from_selector
 from .problems import ProblemSpec
 from .solver import SolverConfig, SolveStatus, continuation_solve
@@ -221,6 +212,17 @@ def run_trace(run: BenchRun):
 
 def run_analyze(kernel_selector: str, check: str, a: float = 0.25, s_max: float = 50.0) -> dict:
     """Dispatch one property check and return a JSON-ready dict."""
+    # only analyze uses the kernel checks, so bench, solve and trace skip loading them
+    from .analysis import (
+        check_Ha,
+        check_concavity,
+        check_speed_bound,
+        check_subadditivity,
+        limit_probe,
+        log_grid,
+        v_function,
+    )
+
     kernel = kernel_from_selector(kernel_selector)
     head = {"check": check, "kernel": kernel.name}
     if check == "ha":

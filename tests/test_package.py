@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,16 @@ IMPORT_PROBE = """
 import contextlib, io, json, sys
 import smoothncp
 
-loaded = sorted(m for m in sys.modules if m.startswith("smoothncp"))
+def package_modules():
+    return sorted(m for m in sys.modules if m.startswith("smoothncp"))
+
+loaded = package_modules()
+smoothncp.check_speed_bound(smoothncp.kernel_from_selector("phi:3"), 1.0, 2.0, 0.5)
+check_loaded = package_modules()
 listed = set(dir(smoothncp))
 missing_from_dir = [name for name in smoothncp.__all__ if name not in listed]
 unresolved = [name for name in smoothncp.__all__ if not hasattr(smoothncp, name)]
-loaded_after = sorted(m for m in sys.modules if m.startswith("smoothncp"))
+loaded_after = package_modules()
 
 # every catalog head, the seeded ones with and without a seed, the protocol
 # starts, a one-start bench draw through the library's own generator, and a
@@ -38,6 +44,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     bench_code = smoothncp.cli.main(["bench", "--problem", "hphard:20", "--starts", "2"])
 print(json.dumps({
     "loaded": loaded,
+    "check_loaded": check_loaded,
     "missing_from_dir": missing_from_dir,
     "unresolved": unresolved,
     "loaded_after": loaded_after,
@@ -48,35 +55,68 @@ print(json.dumps({
 """
 
 
-def _run_probe():
+# A bench command in a fresh interpreter: only analyze uses the kernel checks.
+BENCH_PROBE = """
+import contextlib, io, json, sys
+from smoothncp import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["bench", "--problem", "ks", "--starts", "1"])
+print(json.dumps({"code": code, "analysis": "smoothncp.analysis" in sys.modules}))
+"""
+
+
+def _run_probe(code):
     src = str(Path(smoothncp.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout)
 
 
-def test_import_loads_only_the_solver_stack():
-    probe = _run_probe()
-    assert probe["loaded"] == [
+def test_import_loads_no_submodule():
+    probe = _run_probe(IMPORT_PROBE)
+    assert probe["loaded"] == ["smoothncp"]
+    # a kernel check loads the kernels, the soft-min and the checks, and no
+    # module of the solver stack
+    assert probe["check_loaded"] == [
         "smoothncp",
+        "smoothncp._power",
+        "smoothncp.analysis",
         "smoothncp.kernels",
-        "smoothncp.ncp",
-        "smoothncp.problems",
         "smoothncp.smoothing",
-        "smoothncp.solver",
     ]
     assert probe["missing_from_dir"] == []
     assert probe["unresolved"] == []
-    # resolving every public name loads the analysis and CLI modules
-    assert "smoothncp.analysis" in probe["loaded_after"]
-    assert "smoothncp.cli" in probe["loaded_after"]
+    # resolving every public name loads every submodule
+    assert {f"smoothncp.{module}" for module in smoothncp._LAZY} <= set(probe["loaded_after"])
     # no library path imports numpy.random, only the tests do
     assert len(probe["built"]) == len(set(probe["built"])) == 9
     assert probe["bench_code"] == 0
     assert not probe["numpy_random"]
+
+
+def test_bench_does_not_load_the_kernel_checks():
+    assert _run_probe(BENCH_PROBE) == {"code": 0, "analysis": False}
+
+
+def test_lazy_table_is_each_module_public_surface():
+    # each submodule's __all__, and cli's three bench names; every one
+    # resolves to the object its module defines
+    surfaces = {
+        module: import_module(f"smoothncp.{module}").__all__
+        for module in ("kernels", "ncp", "problems", "smoothing", "solver", "analysis")
+    }
+    surfaces["cli"] = ["BenchRun", "generate_starts", "run_bench"]
+    assert {module: sorted(names) for module, names in smoothncp._LAZY.items()} == {
+        module: sorted(names) for module, names in surfaces.items()
+    }
+    for module, names in smoothncp._LAZY.items():
+        assert getattr(smoothncp, module) is import_module(f"smoothncp.{module}")
+        for name in names:
+            assert getattr(smoothncp, name) is getattr(getattr(smoothncp, module), name)
 
 
 def test_lazy_names_are_the_submodule_objects():
@@ -113,7 +153,7 @@ def test_unknown_name_raises_attribute_error():
 # imported inside a function included; kernels imports _power only inside
 # the power kernel's factory, so the pair does not import in a cycle
 LAYERS = {
-    "__init__": {"kernels", "ncp", "problems", "smoothing", "solver"},
+    "__init__": set(),
     "__main__": {"cli"},
     "_draws": set(),
     "_power": {"kernels"},

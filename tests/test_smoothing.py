@@ -318,6 +318,23 @@ def test_power_closed_form_infinite_argument(selector):
         assert g_r(kern, inf, other, 0.1) == other
         assert g_r_partials(kern, other, inf, 0.1) == (1.0, 0.0)
         assert g_r_partials(kern, inf, other, 0.1) == (0.0, 1.0)
+    # a finite argument whose ratio overflows to +inf beside a finite ratio
+    # gives the other argument, like +inf itself; any other overflowing ratio
+    # raises with a message of its own
+    assert g_r(kern, 1e300, 2.0, 1e-10) == 2.0
+    assert g_r_partials(kern, 1e300, 2.0, 1e-10) == (0.0, 1.0)
+    overflowing = (
+        (1e300, 1e300, 1e-10), (2.0, 3.0, 1e-310), (-1e300, 2.0, 1e-10), (1e300, inf, 1e-10),
+        (np.array([1.0, 1e300]), np.array([2.0, 1e300]), 1e-10),
+    )
+    for a, b, r in overflowing:
+        for f in (g_r, g_r_partials):
+            with pytest.raises(FloatingPointError, match="s/r or t/r overflows"):
+                f(kern, a, b, r)
+    for a, b in ((math.nan, 1.0), (-inf, 1.0), (inf, inf)):
+        for f in (g_r, g_r_partials):
+            with pytest.raises(FloatingPointError, match=r"NaN, -inf or two \+inf"):
+                f(kern, a, b, 0.1)
     s = np.array([inf, 1.0, -2.0])
     t = np.array([4.0, 3.0, inf])
     g = g_r(kern, s, t, 0.1)
