@@ -412,7 +412,7 @@ _SPEED_SIDES = ("upper", "lower", "derivative")
 # _SPEED_MAX_RATIO, about 1/eps, past which the Euler relation that gives
 # r f'(r) cancels (see g_r_deriv_r).  Power kernels with lambda near 1 fall
 # short inside these scales: their partials carry p + 1 = lambda/(lambda - 1)
-# times the rounding of log1p(c1 s/r), which the Euler relation multiplies
+# times the rounding of log1p(s/r), which the Euler relation multiplies
 # by s.  Over 3,000 log-uniform triples of the supported scales, phi:1.002
 # and phi:1.01 report false violations on 16 and 10, all on the derivative
 # side with s and t above 580; rational, exp, phi:3, phi:1.5, phi:2 and

@@ -9,15 +9,16 @@ continuation solver) is parameterised by one of these objects.
 Two named kernels are provided: the rational kernel theta(t) = t/(t+1) on
 t >= 0 (extended linearly below zero) and the exponential kernel
 theta(t) = 1 - exp(-t).  A one-parameter family phi_lambda interpolates
-between them through the ODE (psi')^2 = (1/lambda) * psi * psi''.  A
-selector names each of them (kernel_from_selector).
+between them through the ODE (psi')^2 = (1/lambda) * psi * psi''.  The
+ODE's solutions psi(c x) differ only by a scale c, which relabels the
+smoothing level r (g_r under psi(c .) is g_{r/c} under psi), so each lambda
+names one kernel.  A selector names each of them (kernel_from_selector).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -74,8 +75,8 @@ def _sums_finite(a, b):
         return bool(np.isfinite(a + b).all())
 
 
-# The rational closed form evaluates two reals, or arrays of at most this
-# many entries, element by element on Python floats, in one loop for g, the
+# The rational closed form evaluates 1-D arrays of at most this many
+# entries element by element on Python floats, in one loop for g, the
 # partials or both.  Its numpy path takes about a dozen numpy calls, 14 us
 # whatever the size up to n ~ 100, against 1.6 us + 0.34 us per entry (g_r)
 # and 2.0 us + 0.33 us per entry (partials) on floats (2-core Xeon, Python
@@ -83,16 +84,11 @@ def _sums_finite(a, b):
 # the partials, and a Newton step, one partials call and at least one g_r
 # call, up to n ~ 37; no shipped problem or check has 33 to 37 entries.
 _SMALL_N = 32
-_REAL = (int, float)
-_first = operator.itemgetter(0)
 
 
 def _small_pair(s, t):
-    """s and t as sequences of floats, with the function that packs a list of
-    per-entry results as the call returns it: for two reals, or for two 1-D
-    float64 arrays of one shape with at most _SMALL_N entries; else None."""
-    if isinstance(s, _REAL) and isinstance(t, _REAL):
-        return (float(s),), (float(t),), _first
+    """s and t as lists of floats, for two 1-D float64 arrays of one shape
+    with at most _SMALL_N entries; else None."""
     if (
         type(s) is np.ndarray
         and type(t) is np.ndarray
@@ -101,7 +97,7 @@ def _small_pair(s, t):
         and s.shape[0] <= _SMALL_N
         and s.dtype == t.dtype == np.float64
     ):
-        return s.tolist(), t.tolist(), np.array
+        return s.tolist(), t.tolist()
     return None
 
 
@@ -139,7 +135,7 @@ class SmoothingKernel:
     closed forms for the induced soft-min and its partial derivatives.
     Every kernel kernel_from_selector builds ships them, both taken from one
     closed form per kernel that gives g, the partials or all three (_fused):
-    the rational kernel, the exponential family, and the phi_lambda kernels
+    the rational kernel, the exponential kernel, and the phi_lambda kernels
     with lam > 1 in the log domain (_power.softmin_overrides).  A kernel
     built with them unset uses the generic psi_inv(psi + psi) composition of
     smoothing.g_r.  From a shipped pair, smoothing._g_r_with_partials gets
@@ -210,10 +206,11 @@ def _make_rational() -> SmoothingKernel:
     holds in floating point.  g(s, +inf) = s with partials (0, 1); NaN,
     -inf and two +inf arguments raise FloatingPointError.
 
-    One closed form gives g, the partials or all three (see _fused): two
-    reals or up to _SMALL_N entries are evaluated per entry on Python floats,
-    where g and the partials share the region test, den and the quotients,
-    and other arguments, or a call where some s + t is not finite, by numpy.
+    One closed form gives g, the partials or all three (see _fused): 1-D
+    arrays of up to _SMALL_N entries are evaluated per entry on Python
+    floats, where g and the partials share the region test, den and the
+    quotients, and other arguments (scalars among them, as 0-d arrays), or a
+    call where some s + t is not finite, by numpy.
     """
 
     def _outside_main(sp, tp, r):
@@ -257,7 +254,7 @@ def _make_rational() -> SmoothingKernel:
     # so max(lo, 0) and max(hi, 0) are sp and tp in that order, and the
     # region test, den and the quotients r/(r + sp), r/(r + tp) serve g and
     # the partials alike.
-    def _on_floats(s, t, pack, r, value, partials):
+    def _on_floats(s, t, r, value, partials):
         r, gs, dss, dts = float(r), [], [], []
         inf, sqrt = math.inf, math.sqrt
         for s, t in zip(s, t):
@@ -279,8 +276,9 @@ def _make_rational() -> SmoothingKernel:
                 dss.append(ds * ds)
                 dts.append(dt * dt)
         if not partials:
-            return pack(gs)
-        return (pack(gs), pack(dss), pack(dts)) if value else (pack(dss), pack(dts))
+            return np.array(gs)
+        dss, dts = np.array(dss), np.array(dts)
+        return (np.array(gs), dss, dts) if value else (dss, dts)
 
     # Off the fast path (an infinite argument, or s + t overflows) the
     # identities g(s, t, r) = 2 g(s/2, t/2, r/2) and its degree-0 analogue
@@ -333,46 +331,51 @@ def _make_rational() -> SmoothingKernel:
     )
 
 
-def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
-    """Kernel with theta(t) = 1 - exp(-d t), d = rate; C^2 everywhere.
+def _make_exponential() -> SmoothingKernel:
+    """Kernel with theta(t) = 1 - exp(-t); C^2 everywhere.
 
     Satisfies the halving condition psi(s) <= psi(a*s)/2 for every a in (0,1)
-    once s >= ln(2)/(d (1-a)), so the induced soft-min converges to the exact
-    min.  One closed form gives g = min(s, t) - (r/d) log1p(exp(-|z|)) with
-    z = d (t - s)/r, its partials (the softmax weights of s and t) or all
+    once s >= ln(2)/(1-a), so the induced soft-min converges to the exact
+    min.  One closed form gives g = min(s, t) - r log1p(exp(-|z|)) with
+    z = (t - s)/r, its partials (the softmax weights of s and t) or all
     three, forming exp(-|z|) once (see _fused).
     """
-    d = float(rate)
 
     def theta(t):
-        return -np.expm1(-d * np.asarray(t, dtype=float))
+        return -np.expm1(-np.asarray(t, dtype=float))
 
     def psi(t):
-        return np.exp(-d * np.asarray(t, dtype=float))
+        return np.exp(-np.asarray(t, dtype=float))
 
     def dpsi(t):
-        return -d * np.exp(-d * np.asarray(t, dtype=float))
+        return -np.exp(-np.asarray(t, dtype=float))
 
     def d2psi(t):
-        return d * d * np.exp(-d * np.asarray(t, dtype=float))
+        return np.exp(-np.asarray(t, dtype=float))
 
     def psi_inv(y):
-        return -np.log(_require_positive(y, "psi_inv")) / d
+        return -np.log(_require_positive(y, "psi_inv"))
 
     # NaN, -inf and two +inf arguments are exactly those with a non-finite
     # min(s, t); checked before s - t, which is NaN for two infinities.
-    # The partials are softmax weights, computed so that the pair sums to
-    # 1.0 exactly, with q >= 1/2 the weight of the smaller argument.  e is
-    # exp(-|z|) at z = d (t - s)/r bit for bit, as t - s = -(s - t) exactly,
-    # and t >= s where z >= 0 but for a z that underflows to -0.0, where
-    # q = 0.5 = 1 - q.
+    # Finite sums of squares bound |s - t| by 2.7e154, so that |s - t|/r
+    # cannot overflow for r > 1e-150; other calls form z with overflow
+    # silenced, where e = exp(-|z|) is 0 as it should be.  The partials are
+    # softmax weights, computed so that the pair sums to 1.0 exactly, with
+    # q >= 1/2 the weight of the smaller argument.  e is exp(-|z|) bit for
+    # bit, as t - s = -(s - t) exactly, and t >= s where z >= 0 but for a z
+    # that underflows to -0.0, where q = 0.5 = 1 - q.
     def closed_form(s, t, r, value=True, partials=False):
         s_, t_ = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         lo = np.minimum(s_, t_)
-        _require_finite_min(lo)
-        e = np.exp(-d * np.abs(s_ - t_) / r)
+        if r > 1e-150 and math.isfinite(np.vdot(s_, s_) + np.vdot(t_, t_)):
+            e = np.exp(-np.abs(s_ - t_) / r)
+        else:
+            _require_finite_min(lo)
+            with np.errstate(over="ignore"):
+                e = np.exp(-np.abs(s_ - t_) / r)
         if value:
-            g = lo - (r / d) * np.log1p(e)
+            g = lo - r * np.log1p(e)
             g = float(g) if g.ndim == 0 else g
             if not partials:
                 return g
@@ -385,7 +388,7 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
 
     analytic = AnalyticBranch(psi, dpsi, d2psi, psi_inv, x_low=-math.inf)
     return SmoothingKernel(
-        name=name,
+        name="exp",
         theta=theta,
         psi=psi,
         dpsi=dpsi,
@@ -396,67 +399,55 @@ def _make_exponential_family(rate: float, name: str) -> SmoothingKernel:
     )
 
 
-def _make_phi_lambda(lam: float, c1: float = 1.0, d: float = 1.0) -> SmoothingKernel:
+def _make_phi_lambda(lam: float) -> SmoothingKernel:
     """Kernel from the family (psi')^2 = (1/lam) * psi * psi''.
 
-    lam = 1 returns the exponential kernel with rate d (the "exp" kernel when
-    d = 1).  For lam > 1 the power branch psi(x) = (c1*x + 1)^(-1/(lam-1))
-    is spliced at x0 = -1/(2*c1) (see _spliced); lam = 2, c1 = 1 reproduces
-    the rational kernel on t >= 0.  Its soft-min and partials are closed
-    forms in the log domain (see _power.softmin_overrides).  ValueError is
-    raised unless lam >= 1 and c1, d > 0 are finite, and where x0, psi(x0)
-    or psi'(x0) overflows: lam within about 1e-3 of 1, or an extreme c1.
-    It is also raised for a kernel that is degenerate in floating point,
-    with psi(1) rounding to 1 or to a subnormal or zero value: a
-    p = 1/(lam-1) or a rate d so small or so large that psi cannot be told
-    from a constant.
+    lam = 1 returns the exponential kernel.  For lam > 1 the power branch
+    psi(x) = (1 + x)^(-p), p = 1/(lam-1), is spliced at x0 = -1/2 (see
+    _spliced), where psi0 = 2^p and the slope is -p 2^(p+1); lam = 2
+    reproduces the rational kernel on t >= 0.  Its soft-min and partials
+    are closed forms in the log domain (see _power.softmin_overrides).
+    ValueError is raised unless lam >= 1 is finite, and where psi(x0) or
+    psi'(x0) overflows: lam within about 1e-3 of 1.  It is also raised for
+    a kernel that is degenerate in floating point, with psi(1) rounding to
+    1: a p so small that psi cannot be told from a constant.
     """
     if not 1.0 <= lam < math.inf:
         raise ValueError("phi_lambda requires a finite lam >= 1")
-    if not 0.0 < c1 < math.inf:
-        raise ValueError("phi_lambda requires a finite c1 > 0")
-    if not 0.0 < d < math.inf:
-        raise ValueError("phi_lambda requires a finite d > 0")
     if lam == 1.0:
-        name = "exp" if d == 1.0 else f"phi:1:{d:g}"
-        return _nondegenerate(_make_exponential_family(d, name))
+        return _make_exponential()
 
     p = 1.0 / (lam - 1.0)
-    x0 = -1.0 / (2.0 * c1)
+    x0 = -0.5
     try:
-        psi0, slope = 2.0**p, -p * c1 * 2.0 ** (p + 1.0)  # psi and psi' at x0
+        psi0, slope = 2.0**p, -p * 2.0 ** (p + 1.0)  # psi and psi' at x0
     except OverflowError:
         psi0 = slope = math.inf  # rejected by _spliced
 
     def _pow(x, q):
-        # (1 + c1 x)^(-q)
-        return np.exp(-q * np.log1p(c1 * np.asarray(x, dtype=float)))
+        # (1 + x)^(-q)
+        return np.exp(-q * np.log1p(np.asarray(x, dtype=float)))
 
     def _theta_main(u):  # 1 - psi on the branch, free of cancellation
-        return c1 * u / (c1 * u + 1.0) if p == 1.0 else -np.expm1(-p * np.log1p(c1 * u))
+        return u / (u + 1.0) if p == 1.0 else -np.expm1(-p * np.log1p(u))
 
     branch = AnalyticBranch(
         psi=lambda x: _pow(x, p),
-        dpsi=lambda x: -p * c1 * _pow(x, p + 1.0),
-        d2psi=lambda x: p * (p + 1.0) * c1 * c1 * _pow(x, p + 2.0),
-        psi_inv=lambda y: np.expm1(-np.log(_require_positive(y, "psi_inv")) / p) / c1,
-        x_low=-1.0 / c1,
+        dpsi=lambda x: -p * _pow(x, p + 1.0),
+        d2psi=lambda x: p * (p + 1.0) * _pow(x, p + 2.0),
+        psi_inv=lambda y: np.expm1(-np.log(_require_positive(y, "psi_inv")) / p),
+        x_low=-1.0,
     )
-    name = f"phi:{lam:g}" if c1 == 1.0 else f"phi:{lam:g}:{c1:g}"
     pieces = _spliced(branch, _theta_main, x0, psi0, slope)
     # imported with the first power kernel, so that `import smoothncp` does
     # not compile it: without cached bytecode that took 1.3 ms per import
     from ._power import softmin_overrides
 
-    overrides = _fused(softmin_overrides(p, c1, x0, psi0, slope))
-    kernel = SmoothingKernel(name=name, **pieces, **overrides)
-    return _nondegenerate(kernel)
-
-
-def _nondegenerate(kernel: SmoothingKernel) -> SmoothingKernel:
-    """The kernel, or ValueError unless psi(1) is a normal float below 1."""
+    overrides = _fused(softmin_overrides(p, x0, psi0, slope))
+    kernel = SmoothingKernel(name=f"phi:{lam:g}", **pieces, **overrides)
+    # psi(1) = 2^-p stays a normal float: psi'(x0) = -p 2^(p+1) overflows first
     psi1 = kernel.psi(1.0)
-    if not np.finfo(float).tiny <= psi1 < 1.0:
+    if not psi1 < 1.0:
         raise ValueError(f"kernel {kernel.name} is degenerate in floating point: psi(1) = {psi1:g}")
     return kernel
 
@@ -464,23 +455,21 @@ def _nondegenerate(kernel: SmoothingKernel) -> SmoothingKernel:
 def kernel_from_selector(selector: str) -> SmoothingKernel:
     """Build a kernel from a CLI selector.
 
-    Accepted forms: "rational", "exp", "phi:<lambda>[:<c1-or-d>]" where the
-    trailing value is c1 for lambda > 1 and the rate d for lambda = 1.
+    Accepted forms: "rational", "exp" and "phi:<lambda>".
     """
     sel = selector.strip()
     if sel == "rational":
         return _make_rational()
     if sel == "exp":
-        return _make_phi_lambda(1.0)
+        return _make_exponential()
     if sel.startswith("phi:"):
-        parts = sel.split(":")
+        text = sel[4:]
         # float() would also read underscores, blanks and non-ASCII digits
-        if len(parts) not in (2, 3) or not all(re.fullmatch("[0-9A-Za-z.+-]+", p) for p in parts):
+        if not re.fullmatch("[0-9A-Za-z.+-]+", text):
             raise ValueError(f"malformed kernel selector {selector!r}")
         try:
-            lam = float(parts[1])
-            extra = float(parts[2]) if len(parts) == 3 else 1.0
+            lam = float(text)
         except ValueError as exc:
             raise ValueError(f"malformed kernel selector {selector!r}") from exc
-        return _make_phi_lambda(lam, d=extra) if lam == 1.0 else _make_phi_lambda(lam, c1=extra)
+        return _make_phi_lambda(lam)
     raise ValueError(f"unknown kernel selector {selector!r}")

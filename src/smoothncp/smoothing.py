@@ -66,7 +66,7 @@ def g_r_partials(kernel: SmoothingKernel, s, t, r: float):
     """Partial derivatives (dG/ds, dG/dt) of the soft minimum.
 
     Both are psi'(arg/r) / psi'(psi_inv(psi(s/r) + psi(t/r))) and hence
-    strictly positive.  For the exponential family they are softmax weights
+    strictly positive.  For the exponential kernel they are softmax weights
     summing to one exactly.
     """
     _check_r(r)

@@ -4,6 +4,8 @@ import pytest
 
 from smoothncp import kernel_from_selector, problem_from_selector
 
+pytest_plugins = ["pytester"]
+
 hypothesis.settings.register_profile("ci", max_examples=200, deadline=None)
 hypothesis.settings.load_profile("ci")
 

@@ -1,7 +1,7 @@
 """A 60-digit reference for the soft-min of the phi_lambda kernels, lam > 1.
 
 The reference evaluates the kernel as it is built in floating point: the
-parameters p = 1/(lam - 1), c1, x0 = -1/(2 c1), psi0 and slope are the
+parameters p = 1/(lam - 1), x0 = -1/2, psi0 and slope are the
 kernel's own float values, taken exactly, and everything after them runs in
 60-digit decimal arithmetic.  So it measures the rounding of the soft-min's
 evaluation alone.
@@ -13,11 +13,11 @@ from decimal import Decimal, localcontext
 PRECISION = 60
 
 
-def power_kernel(lam: float, c1: float = 1.0):
-    """The float parameters (p, c1, x0, psi0, slope) of phi:<lam>:<c1>,
-    computed as kernels._make_phi_lambda computes them."""
+def power_kernel(lam: float):
+    """The float parameters (p, x0, psi0, slope) of phi:<lam>, computed as
+    kernels._make_phi_lambda computes them."""
     p = 1.0 / (lam - 1.0)
-    return p, c1, -1.0 / (2.0 * c1), 2.0**p, -p * c1 * 2.0 ** (p + 1.0)
+    return p, -0.5, 2.0**p, -p * 2.0 ** (p + 1.0)
 
 
 def _log1p(z):
@@ -44,20 +44,20 @@ def reference(params, s: float, t: float, r: float):
 
     log psi(x) and log(psi(a) + psi(b)) are formed through ln(1 + z), so
     that no digit is lost where psi(a) and psi(b) differ by more than the
-    working precision, or where c1 x is tiny.
+    working precision, or where x is tiny.
     """
-    p, c1, x0, psi0, slope = (Decimal(v) for v in params)
+    p, x0, psi0, slope = (Decimal(v) for v in params)
     with localcontext() as ctx:
         ctx.prec = PRECISION
 
         def log_psi(x):
             if x >= x0:
-                return -p * _log1p(c1 * x)
+                return -p * _log1p(x)
             return (psi0 + slope * (x - x0)).ln()
 
         def log_dpsi(x):  # log |psi'(x)|
             if x >= x0:
-                return (p * c1).ln() - (p + 1) * _log1p(c1 * x)
+                return p.ln() - (p + 1) * _log1p(x)
             return (-slope).ln()
 
         a, b, r_ = Decimal(s) / Decimal(r), Decimal(t) / Decimal(r), Decimal(r)
@@ -65,7 +65,7 @@ def reference(params, s: float, t: float, r: float):
         hi, lo = max(la, lb), min(la, lb)
         big_l = hi + _log1p((lo - hi).exp())  # log(psi(a) + psi(b))
         if big_l <= psi0.ln():
-            big_g = _expm1(-big_l / p) / c1
+            big_g = _expm1(-big_l / p)
         else:
             big_g = x0 + (big_l.exp() - psi0) / slope
         lw = log_dpsi(big_g)

@@ -334,9 +334,10 @@ def test_main_analyze_exit_codes(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("selector", ["phi:1:inf", "phi:inf", "phi:1.0009765625"])
+@pytest.mark.parametrize("selector", ["phi:1:inf", "phi:inf", "phi:1.0009765625", "phi:3:2"])
 def test_main_analyze_rejects_degenerate_kernels(selector, capsys):
-    # a kernel that cannot be built is a usage error: exit 2, no report
+    # a kernel that cannot be built is a usage error: exit 2, no report; a
+    # trailing scale field is malformed, since lambda alone names a kernel
     assert main(["analyze", "--theta", selector, "--check", "speed"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -298,7 +299,7 @@ def test_generic_composition_non_finite_arguments(pair):
 # _power.softmin_overrides; the generic composition stays the reference for
 # kernels built without closed forms.
 
-POWER = ["phi:3", "phi:1.5", "phi:2", "phi:3:2", "phi:1.25:0.5"]
+POWER = ["phi:3", "phi:1.5", "phi:2", "phi:4", "phi:1.25"]
 
 
 @pytest.mark.parametrize("selector", POWER + ["phi:1.002"])
@@ -311,9 +312,11 @@ def test_power_kernels_ship_closed_forms(selector):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("selector", POWER + ["phi:1.002"])
 def test_power_closed_form_infinite_argument(selector):
-    # g(s, +inf) = s with partials (1, 0), as scalars and in arrays
+    # g(s, +inf) = s with partials (1, 0), as scalars and in arrays; at 2.5
+    # phi:4's rounded -L/p differs from log1p(2.5/0.1), so the partial
+    # must be set, not computed
     kern, inf = kernel_from_selector(selector), math.inf
-    for other in (-3.0, 0.0, 0.05, 5.0, 1e300):
+    for other in (-3.0, 0.0, 0.05, 2.5, 5.0, 1e300):
         assert g_r(kern, other, inf, 0.1) == other
         assert g_r(kern, inf, other, 0.1) == other
         assert g_r_partials(kern, other, inf, 0.1) == (1.0, 0.0)
@@ -347,15 +350,14 @@ def test_power_closed_form_infinite_argument(selector):
 @pytest.mark.parametrize("selector", POWER)
 def test_power_closed_form_matches_generic_composition(selector):
     # s, t on both sides of 0 down to 1e-3 in size; the two forms round
-    # differently, so g is compared in units of max(|g|, r/c1), the scale of
-    # g near its zero (psi(s/r) + psi(t/r) = 1), where both cancel
-    c1 = float(selector.split(":")[2]) if selector.count(":") == 2 else 1.0
+    # differently, so g is compared in units of max(|g|, r), the scale of g
+    # near its zero (psi(s/r) + psi(t/r) = 1), where both cancel
     kern, ref = kernel_from_selector(selector), generic(selector)
     v = np.concatenate((-np.geomspace(10.0, 1e-3, 17), [0.0], np.geomspace(1e-3, 10.0, 17)))
     s, t = (a.ravel() for a in np.meshgrid(v, v))
     for r in (1e-3, 0.1, 1.0, 10.0):
         g, g_ref = g_r(kern, s, t, r), g_r(ref, s, t, r)
-        assert np.all(np.abs(g - g_ref) <= 4e-15 * np.maximum(np.abs(g_ref), r / c1))
+        assert np.all(np.abs(g - g_ref) <= 4e-15 * np.maximum(np.abs(g_ref), r))
         for d, d_ref in zip(g_r_partials(kern, s, t, r), g_r_partials(ref, s, t, r)):
             assert np.all(np.abs(d - d_ref) <= 2e-14)
 
@@ -384,9 +386,8 @@ def test_power_closed_form_entry_bits_do_not_depend_on_the_call(selector):
             assert g_r_partials(kern, float(s[i]), float(t[i]), r) == (ds[i], dt[i])
 
 
-# s/r on both sides of x0 = -1/(2 c1) (x0 itself is added per kernel), up to
-# 1e303, past 1e300/c1 for each c1 here, where log1p(c1 s/r) is formed as
-# log(c1) + log(s/r)
+# s/r on both sides of x0 = -1/2 (x0 itself is added), up to 1e303, where
+# 1 + s/r rounds to s/r
 ACCURACY_RATIOS = [-1e3, -1.3, -0.6, -0.4, -0.1, 0.0, 1e-3, 0.3, 1.0, 37.0, 1e6, 1e16, 1e303]
 ACCURACY_RADII = [1e-12, 1.0, 1e2]
 
@@ -395,7 +396,7 @@ def _softmin_errors(kern, params, s, t, r):
     """(g error, worst partial error) against the decimal reference, or None
     where the kernel's soft-min raises or is not finite.
 
-    g's error is in ulps of max(|g|, r/c1): near g = 0, where psi(s/r) +
+    g's error is in ulps of max(|g|, r): near g = 0, where psi(s/r) +
     psi(t/r) = 1, the value cancels in any float evaluation.  The partials,
     in (0, 1], are compared in ulps of their own value.
     """
@@ -408,23 +409,20 @@ def _softmin_errors(kern, params, s, t, r):
         return None
     if not all(map(math.isfinite, (g, ds, dt))):
         return None
-    scale = max(abs(float(g_ref)), r / params[1])
+    scale = max(abs(float(g_ref)), r)
     g_err = abs(Fraction(g) - Fraction(g_ref)) / Fraction(math.ulp(scale))
     return float(g_err), max(ulps(ds, ds_ref), ulps(dt, dt_ref))
 
 
-@pytest.mark.parametrize(
-    "lam, c1", [(3.0, 1.0), (1.5, 1.0), (2.0, 1.0), (3.0, 2.0), (1.25, 0.5), (1.002, 1.0)],
-    ids=POWER + ["phi:1.002"],
-)
-def test_power_closed_form_accuracy(lam, c1):
+@pytest.mark.parametrize("lam", [3.0, 1.5, 2.0, 4.0, 1.25, 1.002], ids=POWER + ["phi:1.002"])
+def test_power_closed_form_accuracy(lam):
     # against a 60-digit decimal evaluation of the same float kernel: finite
     # everywhere, g <= min(s, t) with no tolerance, and wherever the generic
     # composition is finite the closed form's worst error is no larger
-    params = power_kernel(lam, c1)
-    selector = f"phi:{lam:g}" if c1 == 1.0 else f"phi:{lam:g}:{c1:g}"
+    params = power_kernel(lam)
+    selector = f"phi:{lam:g}"
     kern, ref = kernel_from_selector(selector), generic(selector)
-    ratios = ACCURACY_RATIOS + [params[2]]
+    ratios = ACCURACY_RATIOS + [params[1]]
     closed, generic_worst, shared = (0.0, 0.0), (0.0, 0.0), 0
     for a, b in itertools.product(ratios, ratios):
         for r in ACCURACY_RADII:
@@ -537,37 +535,43 @@ def test_rational_float_path_non_finite_like_numpy(rational, n, bad):
     assert isinstance(_call(g_r, rational, s, t, 0.1), np.ndarray) == handled
 
 
-@given(s=st.lists(args, min_size=1, max_size=40), r=st.floats(1e-16, 1.0),
-       rate=st.sampled_from([1.0, 0.5, 3.0]))
-def test_exponential_partials_are_the_two_sided_sigmoid(s, r, rate):
+@given(s=st.lists(args, min_size=1, max_size=40), r=st.floats(1e-16, 1.0))
+def test_exponential_partials_are_the_two_sided_sigmoid(exponential, s, r):
     # the reference takes each weight from the side where exp's argument is <= 0
-    kern = kernel_from_selector("exp" if rate == 1.0 else f"phi:1:{rate:g}")
     s = np.array(s)
     t = s[::-1] + 0.125
-    z = rate * (t - s) / r
+    z = (t - s) / r
     ws = np.array([1.0 / (1.0 + np.exp(-v)) if v >= 0.0 else 1.0 - 1.0 / (1.0 + np.exp(v))
                    for v in z])
-    ds, dt = g_r_partials(kern, s, t, r)
+    ds, dt = g_r_partials(exponential, s, t, r)
     assert ds.tobytes() == ws.tobytes()
     assert dt.tobytes() == (1.0 - ws).tobytes()
 
 
-@given(s=st.lists(args, min_size=1, max_size=40), r=st.floats(1e-16, 1.0),
-       rate=st.sampled_from([1.0, 0.5, 3.0]))
-def test_exponential_value_is_its_written_formula(s, r, rate):
+@given(s=st.lists(args, min_size=1, max_size=40), r=st.floats(1e-16, 1.0))
+def test_exponential_value_is_its_written_formula(exponential, s, r):
     # with the test above, this pins the one exponential that g and the
-    # partials share: exp(-d |s - t|/r) is exp(-|z|) bit for bit
-    kern = kernel_from_selector("exp" if rate == 1.0 else f"phi:1:{rate:g}")
+    # partials share: exp(-|s - t|/r) is exp(-|z|) bit for bit
     s = np.array(s)
     t = s[::-1] + 0.125
-    want = np.minimum(s, t) - (r / rate) * np.log1p(np.exp(-rate * np.abs(s - t) / r))
-    assert g_r(kern, s, t, r).tobytes() == want.tobytes()
+    want = np.minimum(s, t) - r * np.log1p(np.exp(-np.abs(s - t) / r))
+    assert g_r(exponential, s, t, r).tobytes() == want.tobytes()
 
 
 def test_exponential_partials_saturate_cleanly(exponential):
     # |s - t| / r = 1e6: the sigmoid underflows and the weights pin to {0, 1}
     assert g_r_partials(exponential, 1e4, 0.0, 1e-2) == (0.0, 1.0)
     assert g_r(exponential, 1e4, 0.0, 1e-2) == 0.0
+    # so they do where s - t overflows (1e308, -1e308, 1) or (s - t)/r does
+    # (1e300, 2, 1e-10): g is min(s, t), with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, t, r in ((1e308, -1e308, 1.0), (1e300, 2.0, 1e-10)):
+            for a, b in ((s, t), (np.array([s, 1.0]), np.array([t, 1.5]))):
+                g, ds, dt = _g_r_with_partials(exponential, a, b, r)
+                assert (np.ravel(g)[0], np.ravel(ds)[0], np.ravel(dt)[0]) == (t, 0.0, 1.0)
+                assert np.array_equal(g, g_r(exponential, a, b, r))
+                assert np.array_equal((ds, dt), g_r_partials(exponential, a, b, r))
 
 
 # --- g and its partials from one evaluation ----------------------------------------
@@ -575,8 +579,7 @@ def test_exponential_partials_saturate_cleanly(exponential):
 # _g_r_with_partials runs a shipped kernel's fused closed form, which must
 # give (g_r, *g_r_partials) bit for bit, types included, and raise as g_r does.
 
-SHIPPED = ["rational", "exp", "phi:1:2", "phi:3", "phi:1.5", "phi:2", "phi:3:2",
-           "phi:1.25:0.5", "phi:1.002"]
+SHIPPED = ["rational", "exp", "phi:3", "phi:1.5", "phi:2", "phi:4", "phi:1.25", "phi:1.002"]
 
 
 @pytest.mark.parametrize("selector", SHIPPED)
@@ -608,7 +611,7 @@ def _assert_fused_matches(kernel, s, t, r):
 
 def _fused_arguments(n, rng):
     # magnitudes from 1e-6 to 1e6 of either sign, zeros of both signs and
-    # arguments below the splice point x0 = -r/(2 c1) of the power kernels
+    # arguments below the splice point x0 = -r/2 of the power kernels
     mag = 10.0 ** rng.uniform(-6.0, 6.0, (2, n))
     pair = mag * rng.choice([-1.0, 1.0], (2, n), p=[0.2, 0.8])
     pick = rng.random((2, n))
