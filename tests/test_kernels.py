@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothncp import check_Ha, kernel_from_selector
+from smoothncp.kernels import _make_phi_lambda
 
 finite_reals = st.floats(-50.0, 50.0, allow_nan=False)
 positive_reals = st.floats(1e-6, 50.0, allow_nan=False)
@@ -104,13 +105,18 @@ def test_phi_lambda_1_matches_exponential(exponential):
     np.testing.assert_allclose(phi1.psi(t), np.exp(-t), rtol=1e-14)
 
 
-@pytest.mark.parametrize("lam", [1.5, 3.0, 4.0, 1.25])
-def test_phi_lambda_defining_identity(lam):
-    """The family solves (psi')^2 = psi * psi'' / lambda on its smooth branch."""
+@pytest.mark.parametrize(
+    "lam,c1", [(1.5, 1.0), (3.0, 1.0), (3.0, 2.0), (1.25, 0.5), (4.0, 1.0)]
+)
+def test_phi_lambda_defining_identity(lam, c1):
+    """psi and each rescaling psi(c1 x) solve (psi')^2 = psi * psi'' / lambda.
+
+    A scale c1 only relabels r, so lambda alone names the kernel.
+    """
     kern = kernel_from_selector(f"phi:{lam}")
-    x = np.geomspace(1e-3, 50.0, 200)
-    lhs = kern.dpsi(x) ** 2
-    rhs = kern.psi(x) * kern.d2psi(x) / lam
+    x = c1 * np.geomspace(1e-3, 50.0, 200)
+    lhs = (c1 * kern.dpsi(x)) ** 2
+    rhs = kern.psi(x) * c1 * c1 * kern.d2psi(x) / lam
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
@@ -184,6 +190,26 @@ def test_used_selectors_build(selector):
         warnings.simplefilter("error")
         psi1 = kernel_from_selector(selector).psi(1.0)
     assert np.finfo(float).tiny <= psi1 < 1.0
+
+
+@pytest.mark.parametrize(
+    "selector, params, closed_form",
+    [
+        ("phi:1:2", {"lam": 1.0, "c1": 2.0}, lambda t: np.exp(-2.0 * t)),
+        ("phi:1:3", {"lam": 1.0, "c1": 3.0}, lambda t: np.exp(-3.0 * t)),
+        ("phi:3:2", {"lam": 3.0, "c1": 2.0}, lambda t: (2.0 * t + 1.0) ** -0.5),
+    ],
+)
+def test_selector_trailing_value(selector, params, closed_form):
+    # a trailing field once named psi(c1 t) of the lambda-only kernel, which
+    # only relabels r: the selector is malformed and the kernel is still there
+    with pytest.raises(ValueError, match=f"^malformed kernel selector {selector!r}$"):
+        kernel_from_selector(selector)
+    kern = _make_phi_lambda(params["lam"])
+    branch = np.linspace(0.0, 20.0, 201)
+    np.testing.assert_allclose(
+        kern.psi(params["c1"] * branch), closed_form(branch), rtol=1e-14
+    )
 
 
 # --- the splice, bit for bit ------------------------------------------------------
